@@ -54,6 +54,7 @@ def test_fuzz_campaign_throughput(benchmark):
         "buckets": report.buckets(),
         "unexplained": len(report.unexplained()),
         "crashes": len(report.crashes()),
+        "cpus": os.cpu_count(),
     }
     with open(ARTIFACT, "w") as handle:
         json.dump(artifact, handle, indent=2, sort_keys=True)

@@ -51,6 +51,12 @@ class ChoicePolicy:
     def _decide(self, kind: str, options: Sequence[Any], interp: Any) -> int:
         raise NotImplementedError
 
+    def bind(self, run: Any) -> None:
+        """Receive the ``RunState`` the run loop is about to drive.
+
+        Only a policy that snapshots the run at its decisions keeps it.
+        """
+
 
 class RandomPolicy(ChoicePolicy):
     """Seeded random choices, draw-for-draw compatible with the old RNG use.

@@ -8,17 +8,26 @@ replaces sampling with bounded systematic search:
 * every nondeterministic decision (which goroutine steps, which ``select``
   case commits) is a *choice point*; the explorer runs the program to
   completion, records the choice points it passed, and then backtracks
-  depth-first over the untried alternatives — stateless model checking in
-  the style of VeriSoft/GoAT;
+  depth-first over the untried alternatives, in the style of VeriSoft/GoAT;
+* a child run does not re-execute its parent's prefix from ``main``. Where
+  the parent records a branch point it snapshots the run
+  (:mod:`repro.runtime.snapshot`), and each child resumes from that
+  snapshot with at most two forced choices: the substituted one, preceded
+  for a ``select`` branch by the sched choice of the step that contains it
+  (the snapshot is taken at the start of that step). The last sibling to
+  run takes the snapshot over without copying it. Results stay *logical*:
+  steps, per-goroutine steps, choice traces and ``total_steps`` describe
+  the whole run, prefix included, exactly as a from-scratch run would;
 * commuting steps are not explored in both orders. Each pending step gets a
   *footprint* (the channels/mutexes/waitgroups/shared variables it touches);
   steps with disjoint footprints are independent, and a sleep-set discipline
   (Godefroid) prunes the redundant orderings. Steps with an *empty*
   footprint (pure goroutine-local work) never branch at all;
 * exploration is bounded by a run budget, a per-run branching (depth) bound
-  and an optional preemption bound; :class:`Exploration.complete` reports
-  honestly whether the whole space within the program's semantics was
-  covered or the bound was hit.
+  and an optional preemption bound (a switch away from a goroutine that
+  could have continued; invisible steps never count);
+  :class:`Exploration.complete` reports honestly whether the whole space
+  within the program's semantics was covered or the bound was hit.
 
 Every explored outcome carries its choice trace, and
 :class:`ReplayScheduler` re-executes any trace deterministically — a
@@ -32,7 +41,13 @@ from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tup
 
 from repro.runtime.choices import Choice, ChoicePolicy, ReplayDivergence
 from repro.runtime.interp import RUNNABLE, Goroutine, Interpreter
-from repro.runtime.scheduler import ExecutionResult, replay_trace, run_program
+from repro.runtime.scheduler import (
+    ExecutionResult,
+    RunSnapshot,
+    drive,
+    replay_trace,
+    start_run,
+)
 from repro.runtime.values import (
     CancelFunc,
     Channel,
@@ -272,6 +287,18 @@ class _PrunedRun(Exception):
 
 
 @dataclass
+class _Resume:
+    """Where the children of one branch point start: a paused run."""
+
+    snapshot: RunSnapshot
+    trace: List[Choice]  # the parent's trace; children keep trace[:base]
+    base: int  # trace position the snapshot was taken at
+    preemptions: int  # preemption accounting at that position
+    last_gid: Optional[int]
+    pending: int = 0  # children still to run; the last one takes the snapshot
+
+
+@dataclass
 class _BranchPoint:
     pos: int  # index of this choice in the run's trace
     kind: str  # 'sched' | 'select'
@@ -280,6 +307,7 @@ class _BranchPoint:
     gids: List[int]  # goroutine ids per candidate (sched only)
     fps: List[Footprint]  # footprint per candidate (sched only)
     sleep: Dict[int, Footprint]  # sleep set snapshot before this choice
+    resume: _Resume = field(compare=False, repr=False)  # children start here
 
 
 @dataclass
@@ -290,13 +318,20 @@ class _Bounds:
 
 
 class _DirectedPolicy(ChoicePolicy):
-    """Replay a forced prefix, then extend depth-first, recording branches."""
+    """Force a prefix, then extend depth-first, recording branch points.
+
+    From scratch (``resume=None``) the prefix is the whole forced trace. A
+    resumed run starts from a branch point's snapshot, so its prefix is only
+    what remains of the branch step: the substituted choice, preceded for a
+    ``select`` branch by the sched choice of the step that contains it.
+    """
 
     def __init__(
         self,
         prefix: Sequence[Choice],
         branch_sleep: Dict[int, Footprint],
         bounds: _Bounds,
+        resume: Optional[_Resume] = None,
     ):
         super().__init__()
         self._prefix = list(prefix)
@@ -307,6 +342,17 @@ class _DirectedPolicy(ChoicePolicy):
         self.truncated = False
         self._last_gid: Optional[int] = None
         self._preemptions = 0
+        self._base = 0
+        if resume is not None:
+            self.trace = resume.trace[: resume.base]
+            self._base = resume.base
+            self._preemptions = resume.preemptions
+            self._last_gid = resume.last_gid
+        self._run: Any = None  # the RunState being driven
+        self._step_gid: Optional[int] = None  # the goroutine the current step runs
+
+    def bind(self, run: Any) -> None:
+        self._run = run
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -323,29 +369,42 @@ class _DirectedPolicy(ChoicePolicy):
                 gid: slept for gid, slept in self.sleep.items() if independent(slept, fp)
             }
 
+    def _resume_here(self, pos: int, mid_step: Optional[int] = None) -> _Resume:
+        return _Resume(
+            snapshot=self._run.snapshot(mid_step),
+            trace=self.trace,
+            base=pos,
+            preemptions=self._preemptions,
+            last_gid=self._last_gid,
+        )
+
     # -- decisions --------------------------------------------------------
 
     def _decide(self, kind: str, options: Sequence[Any], interp: Any) -> int:
         pos = len(self.trace)
-        if pos < len(self._prefix):
-            return self._replay_prefix(pos, kind, options, interp)
+        if pos - self._base < len(self._prefix):
+            index = self._replay_prefix(pos, kind, options, interp)
+        elif kind == "sched":
+            index = self._decide_sched(pos, options, interp)
+        else:
+            index = self._decide_select(pos, options)
         if kind == "sched":
-            return self._decide_sched(pos, options, interp)
-        return self._decide_select(pos, options)
+            self._step_gid = options[index].gid
+        return index
 
     def _replay_prefix(self, pos: int, kind: str, options: Sequence[Any], interp: Any) -> int:
-        recorded = self._prefix[pos]
+        k = pos - self._base
+        recorded = self._prefix[k]
         if recorded.kind != kind or recorded.options != len(options):
             raise ReplayDivergence(
                 f"prefix choice {pos}: recorded {recorded.kind}/{recorded.options}, "
                 f"program offers {kind}/{len(options)}"
             )
-        if kind == "sched":
+        if kind == "sched" and self._bounds.preemption_bound is not None:
             chosen = options[recorded.index]
-            fp = step_footprint(interp, chosen)
-            if fp:  # invisible steps don't count against the preemption budget
+            if step_footprint(interp, chosen):
                 self._note_step(chosen, options)
-        if pos == len(self._prefix) - 1:
+        if k == len(self._prefix) - 1:
             # the branch point itself: the parent already filtered this
             # sleep set against the substituted choice's footprint
             self.sleep = dict(self._branch_sleep)
@@ -357,7 +416,8 @@ class _DirectedPolicy(ChoicePolicy):
             g.status == RUNNABLE and g.sleep_until > interp.clock
             for g in interp.goroutines.values()
         )
-        if bounds.prune and not sleeper_active:
+        pruning = bounds.prune and not sleeper_active
+        if pruning:
             fps = [step_footprint(interp, g) for g in options]
             for i, fp in enumerate(fps):
                 if not fp:
@@ -391,18 +451,28 @@ class _DirectedPolicy(ChoicePolicy):
                         gids=[options[i].gid for i in candidates],
                         fps=[fps[i] for i in candidates],
                         sleep=dict(self.sleep),
+                        resume=self._resume_here(pos),
                     )
                 )
             else:
                 self.truncated = True
         chosen = candidates[0]
         self._wake_dependents(fps[chosen])
-        self._note_step(options[chosen], options)
+        # invisible steps don't count against the preemption budget, the
+        # same rule a forced prefix applies
+        if bounds.preemption_bound is not None and (
+            pruning or step_footprint(interp, options[chosen])
+        ):
+            self._note_step(options[chosen], options)
         return chosen
 
     def _decide_select(self, pos: int, options: Sequence[Any]) -> int:
         if len(options) > 1:
             if len(self.branch_points) < self._bounds.max_branch:
+                # the choice is made mid-step: children resume from the
+                # start of the step and re-issue its sched choice. The
+                # accounting already noted that choice, and noting the same
+                # goroutine again changes nothing, so it is taken as is.
                 self.branch_points.append(
                     _BranchPoint(
                         pos=pos,
@@ -412,6 +482,7 @@ class _DirectedPolicy(ChoicePolicy):
                         gids=[],
                         fps=[],
                         sleep=dict(self.sleep),
+                        resume=self._resume_here(pos - 1, self._step_gid),
                     )
                 )
             else:
@@ -425,7 +496,8 @@ class _DirectedPolicy(ChoicePolicy):
 
 @dataclass
 class _WorkItem:
-    prefix: List[Choice]
+    resume: Optional[_Resume]  # None: start from main
+    choices: List[Choice]  # forced choices after the resume point (at most two)
     sleep: Dict[int, Footprint]
 
 
@@ -438,7 +510,7 @@ class Exploration:
     pruned_runs: int = 0
     step_limited_runs: int = 0
     backtracks: int = 0  # alternative prefixes scheduled for exploration
-    total_steps: int = 0  # interpreter steps summed across every run
+    total_steps: int = 0  # logical steps (prefixes included) summed across runs
     complete: bool = True  # False whenever any bound truncated the search
     outcomes: List[ExecutionResult] = field(default_factory=list)
     _signatures: Dict[tuple, ExecutionResult] = field(default_factory=dict)
@@ -545,8 +617,9 @@ def explore(
     span plus run/backtrack/prune counters, aggregated across every
     program execution the search performs.
 
-    ``max_total_steps`` bounds the *cumulative* interpreter steps across
-    all runs — a deterministic analogue of a wall-clock budget, used by
+    ``max_total_steps`` bounds the *cumulative* logical steps across all
+    runs, a resumed run's inherited prefix included — a deterministic
+    analogue of a wall-clock budget, used by
     fuzz campaigns where one pathological generated program must not eat
     the whole campaign. Unlike a wall-clock cut-off it truncates at the
     same run on every re-execution, so triage stays replayable.
@@ -556,7 +629,7 @@ def explore(
     obs = collector or NULL
     bounds = _Bounds(max_branch=max_branch, preemption_bound=preemption_bound, prune=prune)
     exploration = Exploration(entry=entry)
-    stack: List[_WorkItem] = [_WorkItem(prefix=[], sleep={})]
+    stack: List[_WorkItem] = [_WorkItem(resume=None, choices=[], sleep={})]
     with obs.span("explore"):
         while stack:
             if exploration.runs >= max_runs:
@@ -567,29 +640,21 @@ def explore(
                 if obs:
                     obs.count("explore.step-budget-exhausted")
                 break
-            item = stack.pop()
-            policy = _DirectedPolicy(item.prefix, item.sleep, bounds)
-            try:
-                result: Optional[ExecutionResult] = run_program(
-                    program,
-                    entry=entry,
-                    seed=exploration.runs,
-                    max_steps=max_steps,
-                    args=args,
-                    policy=policy,
-                    collector=collector,
-                )
-            except _PrunedRun:
-                result = None
-                exploration.pruned_runs += 1
-                if obs:
-                    obs.count("explore.sleep-prunes")
+            policy, result, inherited = _run_item(
+                program, entry, stack.pop(), bounds, exploration.runs, max_steps, args, collector
+            )
             exploration.runs += 1
             if obs:
                 obs.count("explore.runs")
-            if result is not None:
+            if result is None:
+                exploration.pruned_runs += 1
+                if obs:
+                    obs.count("explore.sleep-prunes")
+            else:
                 exploration.total_steps += result.steps
                 exploration.record(result)
+                if obs:
+                    obs.count("explore.executed_steps", result.steps - inherited)
                 if result.hit_step_limit:
                     exploration.step_limited_runs += 1
                     exploration.complete = False
@@ -597,22 +662,68 @@ def explore(
                         obs.count("explore.step-limited")
             if policy.truncated:
                 exploration.complete = False
-            for bp in policy.branch_points:
-                base = list(policy.trace[: bp.pos])
-                for j in range(1, len(bp.candidates)):
-                    exploration.backtracks += 1
-                    stack.append(
-                        _WorkItem(
-                            prefix=base + [Choice(bp.kind, bp.options, bp.candidates[j])],
-                            sleep=_sibling_sleep(bp, j),
-                        )
-                    )
+            if obs and policy.branch_points:
+                obs.count("explore.snapshots", len(policy.branch_points))
+            children = _children(policy)
+            exploration.backtracks += len(children)
+            stack.extend(children)
     if obs:
         obs.count("explore.backtracks", exploration.backtracks)
         obs.count("explore.outcomes", len(exploration.outcomes))
         obs.count("explore.leaking", len(exploration.leaking()))
         exploration.trace = obs
     return exploration
+
+
+def _run_item(
+    program: ir.Program,
+    entry: str,
+    item: _WorkItem,
+    bounds: _Bounds,
+    seed: int,
+    max_steps: int,
+    args: Optional[List[Any]],
+    collector,
+) -> Tuple[_DirectedPolicy, Optional[ExecutionResult], int]:
+    """Run one work item: from ``main``, or resumed from its branch point.
+
+    Returns the policy (branch points, truncation), the result (None when
+    the sleep set pruned the run) and the logical steps it inherited.
+    """
+    policy = _DirectedPolicy(item.choices, item.sleep, bounds, item.resume)
+    if item.resume is None:
+        state = start_run(program, entry, seed, args=args, policy=policy, collector=collector)
+    else:
+        resume = item.resume
+        resume.pending -= 1
+        state = resume.snapshot.resume(policy, collector, take=resume.pending == 0)
+    inherited = state.steps
+    try:
+        return policy, drive(state, max_steps, seed, collector), inherited
+    except _PrunedRun:
+        return policy, None, inherited
+
+
+def _children(policy: _DirectedPolicy) -> List[_WorkItem]:
+    """Work items for every untried alternative of a run's branch points.
+
+    Siblings share their branch point's snapshot; the last of them to run
+    (the first pushed, so the last popped) takes it over without a copy.
+    """
+    children: List[_WorkItem] = []
+    for bp in policy.branch_points:
+        resume = bp.resume
+        choices = policy.trace[resume.base : bp.pos]
+        resume.pending = len(bp.candidates) - 1
+        for j in range(1, len(bp.candidates)):
+            children.append(
+                _WorkItem(
+                    resume=resume,
+                    choices=choices + [Choice(bp.kind, bp.options, bp.candidates[j])],
+                    sleep=_sibling_sleep(bp, j),
+                )
+            )
+    return children
 
 
 def _sibling_sleep(bp: _BranchPoint, j: int) -> Dict[int, Footprint]:

@@ -130,7 +130,7 @@ class Interpreter:
         collector=None,
     ):
         self.program = program
-        self.rng = rng
+        # the RNG only seeds the default policy; snapshots never copy it
         self.policy = policy if policy is not None else RandomPolicy(rng)
         self.collector = collector  # repro.obs.Collector | None (hot path: one check)
         self.goroutines: Dict[int, Goroutine] = {}

@@ -6,6 +6,11 @@ plays the role of the paper's unit-test-plus-random-sleep validation
 goroutine steps next, so distinct seeds explore distinct interleavings and
 repeated seeds replay identical executions.
 
+There is one scheduling loop, :func:`drive`, over a small :class:`RunState`
+(interpreter, main goroutine, step counts, phase). ``run_program`` starts a
+state and drives it; trace replay does the same under a replay policy, and
+the explorer also drives states resumed from a :class:`RunSnapshot`.
+
 Outcomes of interest:
 
 * ``leaked`` — goroutines still blocked when the program finishes: the
@@ -24,6 +29,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.runtime.choices import Choice, ChoicePolicy, RandomPolicy, ReplayPolicy
 from repro.runtime.interp import BLOCKED, RUNNABLE, Goroutine, Interpreter
+from repro.runtime.snapshot import copy_interpreter
 from repro.runtime.values import (
     Channel,
     ContextVal,
@@ -32,6 +38,8 @@ from repro.runtime.values import (
     StructVal,
     TestingT,
     reset_runtime_ids,
+    restore_runtime_ids,
+    runtime_ids,
 )
 from repro.ssa import ir
 
@@ -95,6 +103,158 @@ def _synthesize_arg(kind: str) -> Any:
     return None
 
 
+#: run phases: main is still running; main is done and the rest drain
+MAIN = "main"
+DRAIN = "drain"
+
+
+@dataclass
+class RunState:
+    """One execution in progress: everything the run loop needs to go on.
+
+    ``steps`` counts steps taken while ``main`` ran (the logical step count
+    of :class:`ExecutionResult`); ``drain_steps`` those taken after it
+    exited, which only spend the same ``max_steps`` budget.
+    """
+
+    interp: Interpreter
+    main: Goroutine
+    steps: int = 0
+    drain_steps: int = 0
+    phase: str = MAIN
+
+    def snapshot(self, mid_step: Optional[int] = None) -> "RunSnapshot":
+        """Copy this state; ``mid_step`` as in :func:`copy_interpreter`."""
+        return RunSnapshot(
+            interp=copy_interpreter(self.interp, mid_step),
+            ids=runtime_ids(),
+            main_gid=self.main.gid,
+            steps=self.steps,
+            drain_steps=self.drain_steps,
+            phase=self.phase,
+        )
+
+
+@dataclass
+class RunSnapshot:
+    """A paused run: resume it any number of times, or hand it over once."""
+
+    interp: Optional[Interpreter]  # detached copy, never stepped; None once taken
+    ids: Dict[str, int]  # this thread's runtime-id counters
+    main_gid: int
+    steps: int
+    drain_steps: int
+    phase: str
+
+    def resume(self, policy: ChoicePolicy, collector=None, take: bool = False) -> RunState:
+        """A live run in this state, driven by ``policy``.
+
+        ``take`` hands over the snapshot's own copy instead of copying it
+        again; the snapshot cannot be resumed after that.
+        """
+        if take:
+            interp, self.interp = self.interp, None
+        else:
+            interp = copy_interpreter(self.interp)
+        interp.policy = policy
+        interp.collector = collector
+        restore_runtime_ids(self.ids)
+        if collector is not None:
+            # the goroutines this run inherits count as if it spawned them
+            collector.count("run.goroutines", len(interp.goroutines))
+        return RunState(
+            interp=interp,
+            main=interp.goroutines[self.main_gid],
+            steps=self.steps,
+            drain_steps=self.drain_steps,
+            phase=self.phase,
+        )
+
+
+def start_run(
+    program: ir.Program,
+    entry: str = "main",
+    seed: int = 0,
+    arg_kinds: Optional[Dict[str, str]] = None,
+    args: Optional[List[Any]] = None,
+    policy: Optional[ChoicePolicy] = None,
+    collector=None,
+) -> RunState:
+    """A fresh run of ``entry``, paused before its first step."""
+    reset_runtime_ids()
+    rng = random.Random(seed)
+    if policy is None:
+        policy = RandomPolicy(rng)
+    interp = Interpreter(program, rng, policy=policy, collector=collector)
+    entry_func = program.functions.get(entry)
+    if entry_func is None:
+        raise KeyError(f"no entry function {entry!r}")
+    env = Env()
+    if args is not None:
+        for name, value in zip(entry_func.params, args):
+            env.vars[name] = value
+    else:
+        kinds = arg_kinds or {}
+        for name in entry_func.params:
+            env.vars[name] = _synthesize_arg(kinds.get(name, "any"))
+    return RunState(interp=interp, main=interp.spawn(entry_func, env))
+
+
+def drive(state: RunState, max_steps: int, seed: int = 0, collector=None) -> ExecutionResult:
+    """Run ``state`` to its end: the one scheduling loop of the runtime.
+
+    While ``main`` runs, every runnable goroutine may step; once it exits,
+    the rest run until quiescent, and whatever is still blocked then is
+    blocked *forever* — the leaked goroutines a BMOC bug produces. Both
+    phases spend one ``max_steps`` budget. ``seed`` only labels the result.
+    """
+    interp = state.interp
+    main = state.main
+    policy = interp.policy
+    policy.bind(state)
+    result = ExecutionResult(seed=seed)
+    while True:
+        if state.phase == MAIN:
+            if state.steps >= max_steps:
+                result.hit_step_limit = True
+                break
+            if interp.panicked:
+                break
+            if main.done:
+                state.phase = DRAIN
+                continue
+            runnable = _runnable(interp)
+        else:
+            if state.steps + state.drain_steps >= max_steps:
+                result.hit_step_limit = True
+                break
+            if interp.panicked:
+                break
+            runnable = [g for g in _runnable(interp) if g is not main]
+        if not runnable:
+            if _only_sleepers(interp):
+                interp.clock += 1  # let time pass
+                continue
+            result.global_deadlock = state.phase == MAIN
+            break
+        interp.step(runnable[policy.pick("sched", runnable, interp)])
+        if state.phase == MAIN:
+            state.steps += 1
+        else:
+            state.drain_steps += 1
+
+    _collect(interp, main, result, state.steps)
+    result.choice_trace = list(policy.trace)
+    if collector:
+        collector.count("run.programs")
+        collector.count("run.steps", result.steps)
+        if result.blocked_forever:
+            collector.count("run.blocked")
+        if result.panicked:
+            collector.count("run.panics")
+    return result
+
+
 def run_program(
     program: ir.Program,
     entry: str = "main",
@@ -113,57 +273,8 @@ def run_program(
     ``collector`` (a :class:`repro.obs.Collector`) receives run counters;
     when ``None`` the scheduling loop pays no instrumentation cost.
     """
-    reset_runtime_ids()
-    rng = random.Random(seed)
-    if policy is None:
-        policy = RandomPolicy(rng)
-    interp = Interpreter(program, rng, policy=policy, collector=collector)
-    entry_func = program.functions.get(entry)
-    if entry_func is None:
-        raise KeyError(f"no entry function {entry!r}")
-    env = Env()
-    if args is not None:
-        for name, value in zip(entry_func.params, args):
-            env.vars[name] = value
-    else:
-        kinds = arg_kinds or {}
-        for name in entry_func.params:
-            env.vars[name] = _synthesize_arg(kinds.get(name, "any"))
-    main = interp.spawn(entry_func, env)
-    result = ExecutionResult(seed=seed)
-
-    steps = 0
-    while steps < max_steps:
-        if interp.panicked:
-            break
-        if main.done:
-            if not _drain(interp, main, result, max_steps - steps):
-                result.hit_step_limit = True
-            break
-        runnable = _runnable(interp)
-        if not runnable:
-            if _only_sleepers(interp):
-                interp.clock += 1  # let time pass
-                continue
-            result.global_deadlock = True
-            break
-        goroutine = runnable[policy.pick("sched", runnable, interp)]
-        interp.step(goroutine)
-        steps += 1
-
-    if steps >= max_steps:
-        result.hit_step_limit = True
-
-    _collect(interp, main, result, steps)
-    result.choice_trace = list(policy.trace)
-    if collector:
-        collector.count("run.programs")
-        collector.count("run.steps", result.steps)
-        if result.blocked_forever:
-            collector.count("run.blocked")
-        if result.panicked:
-            collector.count("run.panics")
-    return result
+    state = start_run(program, entry, seed, arg_kinds, args, policy, collector)
+    return drive(state, max_steps, seed, collector)
 
 
 def _runnable(interp: Interpreter) -> List[Goroutine]:
@@ -183,27 +294,6 @@ def _only_sleepers(interp: Interpreter) -> bool:
             else:
                 return False
     return has_sleeper
-
-
-def _drain(interp: Interpreter, main: Goroutine, result: ExecutionResult, budget: int) -> bool:
-    """After main exits, let remaining goroutines run until quiescent.
-
-    Whatever is still blocked afterwards is blocked *forever* — the leaked
-    goroutines a BMOC bug produces.
-    """
-    steps = 0
-    while steps < budget:
-        if interp.panicked:
-            return True
-        runnable = [g for g in _runnable(interp) if g is not main]
-        if not runnable:
-            if _only_sleepers(interp):
-                interp.clock += 1
-                continue
-            return True
-        interp.step(runnable[interp.policy.pick("sched", runnable, interp)])
-        steps += 1
-    return False
 
 
 def _collect(interp: Interpreter, main: Goroutine, result: ExecutionResult, steps: int) -> None:

@@ -212,6 +212,46 @@ def test_explorer_aggregates_counters_across_goroutine_spawning_runs():
     assert payload["stats"]["schema"] == SCHEMA
 
 
+def test_explorer_counters_separate_logical_from_executed_steps():
+    collector = Collector()
+    project = Project.from_source(FIGURE1.source, "figure1.go", collector=collector)
+    exploration = project.explore(entry=FIGURE1.entry, max_runs=64)
+    counters = collector.counters
+    # the logical counters are those of re-running every prefix from main
+    added = ("explore.snapshots", "explore.executed_steps")
+    logical = {
+        k: v
+        for k, v in counters.items()
+        if k.startswith(("run.", "explore.")) and k not in added
+    }
+    assert logical == {
+        "explore.backtracks": 4,
+        "explore.leaking": 0,
+        "explore.outcomes": 1,
+        "explore.runs": 5,
+        "explore.sleep-prunes": 3,
+        "run.goroutines": 10,
+        "run.programs": 2,
+        "run.steps": 31,
+    }
+    assert counters["run.steps"] == exploration.total_steps
+    # one snapshot per branch point; resumed runs execute only their suffix
+    assert counters["explore.snapshots"] == 4
+    assert counters["explore.executed_steps"] == 24
+
+
+def test_explorer_without_branch_points_executes_every_step():
+    collector = Collector()
+    source = (
+        "package main\n\nfunc main() {\n\tch := make(chan int, 1)\n"
+        "\tch <- 1\n\tprintln(<-ch)\n}\n"
+    )
+    exploration = Project.from_source(source, "one.go", collector=collector).explore()
+    assert exploration.runs == 1
+    assert "explore.snapshots" not in collector.counters
+    assert collector.counters["explore.executed_steps"] == exploration.total_steps > 0
+
+
 def test_fix_all_and_validate_report_into_the_same_collector():
     collector = Collector()
     project = Project.from_source(FIGURE1.source, "figure1.go", collector=collector)

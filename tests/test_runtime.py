@@ -1,10 +1,8 @@
 """Tests for the runtime: channel semantics, scheduling, deadlock oracle."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.runtime.scheduler import explore_schedules, run_program
-from repro.runtime.values import Channel, GoPanic
 from tests.conftest import build
 
 
@@ -13,47 +11,55 @@ def run(source: str, entry: str = "main", seed: int = 0, max_steps: int = 50_000
 
 
 class TestChannelValue:
+    """Channel FIFO, blocking and close semantics, end to end."""
+
     def test_buffered_fifo(self):
-        ch = Channel(2, "int")
-        assert ch.try_send(1)[0]
-        assert ch.try_send(2)[0]
-        assert not ch.try_send(3)[0]
-        ok, value, flag, _ = ch.try_recv()
-        assert (ok, value, flag) == (True, 1, True)
+        result = run(
+            "func main() {\n\tch := make(chan int, 2)\n\tch <- 1\n\tch <- 2\n"
+            "\tselect {\n\tcase ch <- 3:\n\t\tprintln(\"sent\")\n"
+            "\tdefault:\n\t\tprintln(\"full\")\n\t}\n"
+            "\tv, ok := <-ch\n\tprintln(v, ok)\n\tprintln(<-ch)\n}"
+        )
+        assert result.output == ["full", "1 True", "2"]
+        assert not result.blocked_forever
 
     def test_unbuffered_send_blocks(self):
-        ch = Channel(0, "int")
-        assert ch.try_send(1) == (False, None)
+        result = run("func main() {\n\tch := make(chan int)\n\tch <- 1\n\tprintln(\"sent\")\n}")
+        assert result.output == []
+        assert result.global_deadlock
+        assert result.deadlock_lines == [4]
 
     def test_recv_from_empty_blocks(self):
-        ch = Channel(1, "int")
-        assert ch.try_recv()[0] is False
+        result = run(
+            "func main() {\n\tch := make(chan int, 1)\n"
+            "\tgo func() {\n\t\t<-ch\n\t}()\n}"
+        )
+        assert [(leak.blocked_line, leak.blocked_kind) for leak in result.leaked] == [(5, "recv")]
 
     def test_closed_recv_zero_value(self):
-        ch = Channel(0, "int")
-        ch.close()
-        ok, value, flag, _ = ch.try_recv()
-        assert (ok, value, flag) == (True, 0, False)
+        result = run(
+            "func main() {\n\tch := make(chan int)\n\tclose(ch)\n"
+            "\tv, ok := <-ch\n\tprintln(v, ok)\n}"
+        )
+        assert result.output == ["0 False"]
+        assert not result.blocked_forever
 
     def test_send_on_closed_panics(self):
-        ch = Channel(1, "int")
-        ch.close()
-        with pytest.raises(GoPanic):
-            ch.try_send(1)
+        result = run("func main() {\n\tch := make(chan int, 1)\n\tclose(ch)\n\tch <- 1\n}")
+        assert result.panicked
+        assert result.panic_message == "send on closed channel"
 
     def test_double_close_panics(self):
-        ch = Channel(0, "int")
-        ch.close()
-        with pytest.raises(GoPanic):
-            ch.close()
+        result = run("func main() {\n\tch := make(chan int)\n\tclose(ch)\n\tclose(ch)\n}")
+        assert result.panicked
+        assert result.panic_message == "close of closed channel"
 
     def test_closed_drains_buffer_first(self):
-        ch = Channel(2, "string")
-        ch.try_send("a")
-        ch.close()
-        assert ch.try_recv()[1] == "a"
-        ok, value, flag, _ = ch.try_recv()
-        assert (value, flag) == ("", False)
+        result = run(
+            "func main() {\n\tch := make(chan string, 2)\n\tch <- \"a\"\n\tclose(ch)\n"
+            "\tprintln(<-ch)\n\tv, ok := <-ch\n\tprintln(v == \"\", ok)\n}"
+        )
+        assert result.output == ["a", "True False"]
 
 
 class TestBasicExecution:

@@ -1,8 +1,9 @@
 """Experiment E-cover: coverage on the public 49-bug set (§5.2).
 
 Paper: GCatch detects 33 of the 49 BMOC bugs in the released bug set (67%),
-missing the rest for four stated reasons. The harness runs the detector on
-each bug and reports the per-reason tally.
+missing the rest for four stated reasons. The harness times the detector
+on each bug and prints the per-reason tally; ``tests/test_paper_numbers.py``
+asserts it.
 """
 
 from __future__ import annotations
@@ -45,16 +46,4 @@ def test_coverage_study(benchmark, bug_set):
     record_report(
         "Coverage on the 49-bug public set (§5.2)",
         render_simple(["outcome", "measured", "paper"], rows),
-    )
-
-    assert detected == 33
-    for case, got in outcomes:
-        assert got == case.detectable, case.case_id
-    assert missed_reasons == Counter(
-        {
-            "unmodeled-primitive": 9,
-            "needs-dynamic-value": 3,
-            "critical-section-above-lca": 2,
-            "nil-channel-dataflow": 2,
-        }
     )

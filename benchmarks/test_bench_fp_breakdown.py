@@ -4,7 +4,8 @@ Paper: the BMOC detector reports 51 false positives — 20 from infeasible
 paths (9 unsatisfiable conditions + 11 loop-unroll miscounts), 17 from
 alias-analysis limits (15 channels-through-channels + 2 slice-stored),
 14 from call-graph limits. The corpus seeds FP inducers with exactly those
-causes; this harness verifies the detector falls into each trap.
+causes; this harness prints how many the detector falls into, and
+``tests/test_paper_numbers.py`` asserts the counts.
 """
 
 from __future__ import annotations
@@ -52,6 +53,3 @@ def test_fp_breakdown(benchmark, corpus_evaluation):
         "BMOC false positives by cause (§5.2)",
         render_simple(["cause", "measured", "paper"], rows),
     )
-
-    assert causes == {"infeasible-path": 20, "alias-analysis": 17, "call-graph": 14}
-    assert sum(causes.values()) == 51

@@ -3,7 +3,8 @@ the 21-application corpus.
 
 Paper: 149 BMOC bugs (147 channel-only + 2 channel+mutex) with 51 FPs,
 119 traditional bugs with 67 FPs, and GFix patching 124 bugs (99/4/21 per
-strategy). The harness runs the full pipeline and regenerates every cell.
+strategy). The harness times the full pipeline and prints every cell;
+``tests/test_paper_numbers.py`` asserts them.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import record_report
-from repro.corpus.specs import TABLE1
 from repro.report.experiments import evaluate_corpus
 
 
@@ -28,28 +28,6 @@ def test_table1_full_reproduction(benchmark, corpus_evaluation):
     app = corpus_app("Prometheus")
     benchmark.pedantic(lambda: evaluate_app(app), rounds=3, iterations=1)
 
-    evaluation = corpus_evaluation
-    record_report("Table 1 (GCatch + GFix over the 21-app corpus)", evaluation.render())
-
-    # every row matches its Table 1 spec exactly
-    for app_eval, spec in zip(evaluation.evaluations, TABLE1):
-        assert app_eval.app.name == spec.name
-        assert app_eval.bmoc_counts("bmoc-chan") == (spec.bmoc_c.real, spec.bmoc_c.fp), spec.name
-        assert app_eval.bmoc_counts("bmoc-mutex") == (spec.bmoc_m.real, spec.bmoc_m.fp), spec.name
-        fixes = app_eval.fix_counts()
-        assert fixes["buffer"] == spec.fix_s1, spec.name
-        assert fixes["defer"] == spec.fix_s2, spec.name
-        assert fixes["stop"] == spec.fix_s3, spec.name
-
-    # headline totals
-    grand = evaluation.totals()
-    assert grand["bmoc_c"] == (147, 46)
-    assert grand["bmoc_m"] == (2, 5)
-    assert grand["forget_unlock"] == (32, 15)
-    assert grand["double_lock"] == (19, 16)
-    assert grand["conflict_lock"] == (9, 5)
-    assert grand["struct_field"] == (33, 31)
-    assert grand["fatal"] == (26, 0)
-    fixes = evaluation.fix_totals()
-    assert fixes == {"buffer": 99, "defer": 4, "stop": 21}
-    assert sum(fixes.values()) == 124
+    record_report(
+        "Table 1 (GCatch + GFix over the 21-app corpus)", corpus_evaluation.render()
+    )

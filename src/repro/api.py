@@ -128,21 +128,17 @@ class Project:
         self,
         disentangle: bool = True,
         collector: Optional[Collector] = None,
-        jobs: Optional[int] = None,
-        backend: Optional[str] = None,
         cache=None,
         budget_wall_seconds: Optional[float] = None,
         budget_solver_nodes: Optional[int] = None,
         max_retries: Optional[int] = None,
         retry_timeouts: bool = False,
         checkers: Optional[List[str]] = None,
-        solver_mode: Optional[str] = None,
     ) -> GCatchResult:
         """Run GCatch (BMOC detector + the five traditional checkers).
 
-        ``jobs`` > 1 (default: the ``REPRO_JOBS`` env var) shards the
-        per-primitive analysis across a pool via :mod:`repro.engine`;
-        ``cache`` (a :class:`repro.engine.ResultCache`) makes re-runs
+        Detection runs through :mod:`repro.engine`, one shard per
+        primitive and per traditional checker; ``cache`` (a :class:`repro.engine.ResultCache`) makes re-runs
         incremental; ``budget_*`` bound per-primitive effort, degrading
         to TIMEOUT markers instead of unbounded analysis.
 
@@ -153,27 +149,18 @@ class Project:
         bounds transient-failure retries; ``retry_timeouts`` retries a
         solver-timeout shard once with a quartered node budget;
         ``checkers`` (default: ``REPRO_CHECKERS``, else all) restricts
-        the traditional-checker set. ``solver_mode`` (default:
-        ``REPRO_SOLVER_MODE``, else ``batched``) selects the per-group
-        constraint-solving pipeline: ``batched`` reuses structures across
-        a primitive's suspicious groups through a
-        :class:`repro.constraints.session.SolverSession`; ``classic``
-        encodes and solves every group from scratch (the escape hatch —
-        both produce byte-identical reports).
+        the traditional-checker set.
         """
         return run_gcatch(
             self.program,
             disentangle=disentangle,
             collector=self._obs(collector),
-            jobs=jobs,
-            backend=backend,
             cache=cache,
             budget_wall_seconds=budget_wall_seconds,
             budget_solver_nodes=budget_solver_nodes,
             max_retries=max_retries,
             retry_timeouts=retry_timeouts,
             checkers=checkers,
-            solver_mode=solver_mode,
         )
 
     # -- fixing -------------------------------------------------------------

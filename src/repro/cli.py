@@ -94,15 +94,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
     project = _load(args.file, collector=collector)
     result = project.detect(
         disentangle=not args.no_disentangle,
-        jobs=args.jobs,
-        backend=args.backend,
         cache=cache,
         budget_wall_seconds=args.budget_seconds,
         budget_solver_nodes=args.budget_nodes,
         max_retries=args.max_retries,
         retry_timeouts=args.retry_timeouts,
         checkers=args.checkers,
-        solver_mode=args.solver_mode,
     )
     reports = result.all_reports()
     timed_out = result.has_timeouts()
@@ -170,7 +167,6 @@ def cmd_fix(args: argparse.Namespace) -> int:
     result = project.detect(
         max_retries=args.max_retries,
         retry_timeouts=args.retry_timeouts,
-        solver_mode=args.solver_mode,
     )
     bugs = result.bmoc.bmoc_channel_bugs()
     if not bugs:
@@ -300,10 +296,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         max_runs=args.budget,
         max_steps=args.max_steps,
         max_total_steps=args.total_steps,
-        jobs=args.jobs,
-        backend=args.backend,
         max_retries=args.max_retries,
-        solver_mode=args.solver_mode,
     )
     collector = Collector(f"fuzz-s{args.seed}") if args.json else None
     policy = RetryPolicy(max_retries=args.max_retries) if args.max_retries else None
@@ -376,7 +369,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     result = project.detect(
         max_retries=args.max_retries,
         retry_timeouts=args.retry_timeouts,
-        solver_mode=args.solver_mode,
     )
     reports = result.all_reports()
     summary = project.fix_all(result.bmoc.bmoc_channel_bugs())
@@ -437,15 +429,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def _service_kwargs(args: argparse.Namespace) -> dict:
     """The engine/resilience knobs shared by serve and watch."""
     return dict(
-        jobs=args.jobs,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         budget_wall_seconds=args.budget_seconds,
         budget_solver_nodes=args.budget_nodes,
         max_retries=args.max_retries,
         retry_timeouts=args.retry_timeouts,
         checkers=args.checkers,
-        solver_mode=args.solver_mode,
     )
 
 
@@ -712,15 +701,6 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_solver_mode_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver-mode", choices=["batched", "classic"], default=None,
-                   help="constraint-solving pipeline: 'batched' shares one "
-                        "incremental solver session across a primitive's "
-                        "suspicious groups; 'classic' encodes and solves each "
-                        "group from scratch — identical reports either way "
-                        "(default: REPRO_SOLVER_MODE, else batched)")
-
-
 def _add_resilience_args(p: argparse.ArgumentParser) -> None:
     """The resilience flags shared by detect/fix/stats."""
     p.add_argument("--strict", action="store_true",
@@ -754,11 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-disentangle", action="store_true", help="whole-program ablation mode")
     p.add_argument("--trace", action="store_true",
                    help="append the per-stage observability table")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="shard per-primitive analysis across N workers "
-                        "(default: REPRO_JOBS env var, else serial)")
-    p.add_argument("--backend", choices=["thread", "process"], default=None,
-                   help="pool backend for --jobs (default: REPRO_BACKEND, else thread)")
     p.add_argument("--cache-dir", default=None,
                    help="persist per-primitive results under this directory; "
                         "warm re-runs skip unchanged primitives")
@@ -773,7 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: REPRO_CHECKERS, else all)")
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="dump the run's span tree as OTLP-style JSON")
-    _add_solver_mode_arg(p)
     _add_resilience_args(p)
     p.set_defaults(func=cmd_detect)
 
@@ -782,7 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--write", action="store_true", help="apply a single patch in place")
     p.add_argument("--trace", action="store_true",
                    help="append the per-stage observability table")
-    _add_solver_mode_arg(p)
     _add_resilience_args(p)
     p.set_defaults(func=cmd_fix)
 
@@ -828,14 +801,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-run interpreter step bound")
     p.add_argument("--total-steps", type=int, default=120_000,
                    help="deterministic cross-run step budget per program")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="engine shard parallelism for the static oracle "
-                        "(default: REPRO_JOBS, else serial)")
-    p.add_argument("--backend", choices=["thread", "process"], default=None,
-                   help="pool backend for --jobs")
     p.add_argument("--max-retries", type=int, default=None,
                    help="transient-failure retries per program")
-    _add_solver_mode_arg(p)
     p.add_argument("--only", type=int, default=None, metavar="INDEX",
                    help="replay a single program of the campaign by index")
     p.add_argument("--minimize", action="store_true",
@@ -859,16 +826,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit Prometheus text exposition instead of the table")
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="dump the run's span tree as OTLP-style JSON")
-    _add_solver_mode_arg(p)
     _add_resilience_args(p)
     p.set_defaults(func=cmd_stats)
 
     def _add_service_args(p: argparse.ArgumentParser) -> None:
         """Engine knobs shared by serve and watch (daemon-lifetime)."""
-        p.add_argument("--jobs", type=int, default=None,
-                       help="per-request shard parallelism (default: REPRO_JOBS)")
-        p.add_argument("--backend", choices=["thread", "process"], default=None,
-                       help="pool backend (default: REPRO_BACKEND, else thread)")
         p.add_argument("--cache-dir", default=None,
                        help="persist the shard cache under this directory "
                             "(default: memory-only, warm for the daemon's life)")
@@ -882,7 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="retry TIMEOUT shards once with a quartered budget")
         p.add_argument("--checkers", nargs="*", default=None,
                        help="restrict the traditional checkers")
-        _add_solver_mode_arg(p)
 
     p = sub.add_parser(
         "serve",

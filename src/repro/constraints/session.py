@@ -1,10 +1,12 @@
-"""Batched, incremental constraint solving for one primitive (ROADMAP item 2).
+"""Batched, incremental constraint solving for one primitive.
 
-The BMOC detector decides Φ_R ∧ Φ_B once per (path combination, suspicious
-group) pair — for one channel that is typically dozens of small systems
-whose goroutine paths share long identical prefixes (truncation at a stop
-point erases exactly the part of a path that differed). A
-:class:`SolverSession` exploits that redundancy three ways:
+The BMOC detector decides Φ_R ∧ Φ_B once per (path combination,
+suspicious group) pair, and every such decision goes through a
+:class:`SolverSession` — the detector's one solve path. For one channel
+that is typically dozens of small systems whose goroutine paths share
+long identical prefixes (truncation at a stop point erases exactly the
+part of a path that differed). The session exploits that redundancy
+three ways:
 
 * **shared difference-closure** — the per-combination structure every
   group's encoding re-derives (schedulable-event positions, spawn linkage,
@@ -31,11 +33,12 @@ witness whose rendering — occ ids, match pairs, final states keyed by
 primitive label — is identical). Primitive identity is interned per
 session *by object*, so distinct primitives that merely share a label can
 never collide. The memo is only ever a cache of ``encode`` +
-``solve_detailed`` on the same inputs; misses run exactly the classic
-code path.
+``solve_detailed`` on the same inputs; a miss runs exactly those two
+calls, and the solver-parity tests compare every session verdict with a
+from-scratch ``encode`` + ``solve_detailed``.
 
 The session lives for one primitive's analysis (one engine shard), so no
-state crosses shard or process boundaries; budgets stay per group because
+state crosses shards; budgets stay per group because
 the caller still charges ``outcome.nodes`` for hits and misses alike —
 the memoized node count equals what a fresh search would have spent.
 """
@@ -55,12 +58,6 @@ from repro.detector.paths import (
     SpawnEvent,
 )
 from repro.obs import NULL, STAGE_ENCODE, STAGE_SOLVE
-
-#: detection solver modes: ``batched`` routes per-group solves through a
-#: SolverSession; ``classic`` encodes and solves every group from scratch
-SOLVER_MODES = ("batched", "classic")
-DEFAULT_SOLVER_MODE = "batched"
-
 
 class SolverSession:
     """One primitive's incremental solver: interned structures + verdict memo."""

@@ -22,9 +22,9 @@ from repro.analysis.callgraph import build_call_graph
 from repro.analysis.dependency import build_dependency_graph, compute_pset
 from repro.analysis.primitives import Primitive, find_primitives
 from repro.analysis.scope import Scope, compute_all_scopes
-from repro.constraints.encoding import StopPoint, encode
-from repro.constraints.session import DEFAULT_SOLVER_MODE, SOLVER_MODES, SolverSession
-from repro.constraints.solver import TIMEOUT, solve_detailed
+from repro.constraints.encoding import StopPoint
+from repro.constraints.session import SolverSession
+from repro.constraints.solver import TIMEOUT
 from repro.obs import (
     NULL,
     STAGE_ALIAS,
@@ -44,7 +44,7 @@ from repro.detector.paths import (
     _definition_counts,
     enumerate_combinations,
 )
-from repro.detector.reporting import BlockedOp, BugReport, dedup_reports
+from repro.detector.reporting import BlockedOp, BugReport
 from repro.detector.suspicious import enumerate_groups
 from repro.resilience.faultinject import maybe_fault
 
@@ -100,7 +100,6 @@ class AnalysisBudget:
 @dataclass
 class DetectionStats:
     channels_analyzed: int = 0
-    channels_failed: int = 0  # channels whose analysis crashed (firewalled)
     combinations: int = 0
     groups_checked: int = 0
     solver_calls: int = 0
@@ -113,7 +112,6 @@ class DetectionStats:
     def merge(self, other: "DetectionStats") -> None:
         """Fold another shard's stats into this one (repro.engine)."""
         self.channels_analyzed += other.channels_analyzed
-        self.channels_failed += other.channels_failed
         self.combinations += other.combinations
         self.groups_checked += other.groups_checked
         self.solver_calls += other.solver_calls
@@ -146,19 +144,12 @@ class BMOCDetector:
         prune_infeasible: bool = True,
         collector=None,
         solver_max_nodes: Optional[int] = None,
-        solver_mode: str = DEFAULT_SOLVER_MODE,
     ):
-        if solver_mode not in SOLVER_MODES:
-            raise ValueError(
-                f"unknown solver mode: {solver_mode!r} "
-                f"(valid modes: {', '.join(SOLVER_MODES)})"
-            )
         self.program = program
         self.disentangle = disentangle
         self.max_loop_unroll = max_loop_unroll
         self.prune_infeasible = prune_infeasible
         self.solver_max_nodes = solver_max_nodes
-        self.solver_mode = solver_mode
         self.collector = collector or NULL
         with self.collector.span(STAGE_CALLGRAPH):
             self.call_graph = build_call_graph(program)
@@ -186,45 +177,12 @@ class BMOCDetector:
 
     def for_shard(self, collector) -> "BMOCDetector":
         """A shallow clone sharing every analysis artifact but reporting
-        into its own collector — the unit the engine hands to pool workers
+        into its own collector — the unit the engine runs one shard on
         (the span stack is per-collector, so shards must not share one)."""
         clone = object.__new__(BMOCDetector)
         clone.__dict__.update(self.__dict__)
         clone.collector = collector or NULL
         return clone
-
-    # -- public ---------------------------------------------------------------
-
-    def detect(self, firewall=None) -> DetectionResult:
-        """Analyze every channel; with a ``firewall`` (a
-        :class:`repro.resilience.Firewall`) each channel is its own
-        isolation unit — one crashing analysis loses only that channel's
-        reports and is counted in ``stats.channels_failed``."""
-        start = time.perf_counter()
-        stats = DetectionStats()
-        reports: List[BugReport] = []
-        for channel in self.channels_to_analyze():
-            chan_start = time.perf_counter()
-            stats.channels_analyzed += 1
-            if firewall is None:
-                shard_reports, _ = self.analyze_channel(channel, stats)
-            else:
-                guarded = firewall.call(
-                    lambda channel=channel: self.analyze_channel(channel, stats),
-                    site="shard",
-                    label=str(channel.site),
-                )
-                if not guarded.ok:
-                    stats.channels_failed += 1
-                    continue
-                shard_reports, _ = guarded.value
-            reports.extend(shard_reports)
-            stats.per_channel_seconds[str(channel.site)] = time.perf_counter() - chan_start
-        stats.elapsed_seconds = time.perf_counter() - start
-        if self.collector:
-            self.collector.count("detect.channels", stats.channels_analyzed)
-            self.collector.count("detect.groups", stats.groups_checked)
-        return DetectionResult(reports=dedup_reports(reports), stats=stats)
 
     def channels_to_analyze(self) -> List[Primitive]:
         """The per-primitive analysis units, in deterministic program order.
@@ -250,10 +208,8 @@ class BMOCDetector:
         """
         reports: List[BugReport] = []
         # one incremental solver session per primitive: all of this
-        # channel's suspicious groups solve inside it (batched mode)
-        session = (
-            SolverSession(self.collector) if self.solver_mode == "batched" else None
-        )
+        # channel's suspicious groups solve inside it
+        session = SolverSession(self.collector)
         try:
             self._analyze_channel(channel, stats, reports, budget, session)
             return reports, False
@@ -268,8 +224,8 @@ class BMOCDetector:
         channel: Primitive,
         stats: DetectionStats,
         reports: List[BugReport],
-        budget: Optional[AnalysisBudget] = None,
-        session: Optional[SolverSession] = None,
+        budget: Optional[AnalysisBudget],
+        session: SolverSession,
     ) -> None:
         collector = self.collector
         if self.disentangle:
@@ -327,8 +283,8 @@ class BMOCDetector:
         combo: PathCombination,
         scope_functions,
         stats: DetectionStats,
-        budget: Optional[AnalysisBudget] = None,
-        session: Optional[SolverSession] = None,
+        budget: Optional[AnalysisBudget],
+        session: SolverSession,
     ) -> List[BugReport]:
         collector = self.collector
         reports: List[BugReport] = []
@@ -347,15 +303,7 @@ class BMOCDetector:
             maybe_fault(STAGE_ENCODE, str(channel.site))
             stats.solver_calls += 1
             maybe_fault(STAGE_SOLVE, str(channel.site))
-            if session is not None:
-                outcome = session.solve_group(combo, group, max_nodes=max_nodes)
-            else:
-                with collector.span(STAGE_ENCODE):
-                    system = encode(combo, group, collector if collector else None)
-                with collector.span(STAGE_SOLVE):
-                    outcome = solve_detailed(
-                        system, collector if collector else None, max_nodes=max_nodes
-                    )
+            outcome = session.solve_group(combo, group, max_nodes=max_nodes)
             if budget is not None:
                 budget.charge(outcome.nodes)
             if outcome.outcome == TIMEOUT:
@@ -445,14 +393,23 @@ def detect_bmoc(
     max_loop_unroll: int = 2,
     prune_infeasible: bool = True,
     collector=None,
-    solver_mode: str = DEFAULT_SOLVER_MODE,
 ) -> DetectionResult:
-    """Convenience wrapper: run the BMOC detector over a program."""
-    return BMOCDetector(
-        program,
+    """The BMOC half of a GCatch run: the engine with no traditional
+    checkers.
+
+    Unlike :func:`repro.detector.gcatch.run_gcatch`, a crashed analysis
+    raises instead of degrading: callers of this plain API (patch
+    validation, coverage) must never read a crash as a clean program.
+    """
+    from repro.engine import EngineConfig, run_engine
+
+    config = EngineConfig(
         disentangle=disentangle,
         max_loop_unroll=max_loop_unroll,
         prune_infeasible=prune_infeasible,
-        collector=collector,
-        solver_mode=solver_mode,
-    ).detect()
+        checkers=[],
+    )
+    result = run_engine(program, config=config, collector=collector)
+    if result.incidents:
+        raise RuntimeError(f"BMOC detection crashed: {result.incidents[0].render()}")
+    return result.bmoc

@@ -1,8 +1,8 @@
 """Differential fuzz campaigns: generate → detect → explore → triage.
 
 Every generated program runs through the full pipeline — parse/SSA
-build, static detection through the sharded engine (``jobs`` > 1 shards
-per-primitive analysis exactly as one-shot ``detect`` does), bounded
+build, static detection through the sharded engine (exactly as one-shot
+``detect`` runs it), bounded
 schedule exploration — and the two verdicts are reconciled by the same
 :func:`repro.diffcheck.classify_oracles` core the corpus sweep uses.
 
@@ -75,19 +75,13 @@ class CampaignConfig:
     max_runs: int = 128  # schedule-exploration run budget per program
     max_steps: int = 6_000  # per-run interpreter step bound
     max_total_steps: int = 120_000  # deterministic cross-run step budget
-    jobs: Optional[int] = None  # engine shard parallelism for detection
-    backend: Optional[str] = None
     max_retries: Optional[int] = None
-    solver_mode: Optional[str] = None  # batched | classic (None: resolve env)
 
     def to_json(self) -> dict:
         return {
             "max_runs": self.max_runs,
             "max_steps": self.max_steps,
             "max_total_steps": self.max_total_steps,
-            "jobs": self.jobs,
-            "backend": self.backend,
-            "solver_mode": self.solver_mode,
         }
 
 
@@ -242,10 +236,7 @@ def triage_program(
         static = run_gcatch(
             ir_program,
             collector=collector,
-            jobs=config.jobs,
-            backend=config.backend,
             max_retries=config.max_retries,
-            solver_mode=config.solver_mode,
         )
         exploration = explore(
             ir_program,

@@ -41,7 +41,6 @@ from repro.obs.journal import (
 from repro.obs.prom import render_prometheus, validate_exposition
 from repro.obs.stats import (
     SCHEMA,
-    SCHEMA_V1,
     json_dumps,
     load,
     render_stats,
@@ -80,7 +79,6 @@ __all__ = [
     "summarize",
     "validate_exposition",
     "SCHEMA",
-    "SCHEMA_V1",
     "json_dumps",
     "load",
     "render_stats",

@@ -291,17 +291,14 @@ class Dist:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Dist":
-        """Rebuild from a snapshot; tolerates the means-only ``repro.obs/1``
-        shape (no buckets/samples → empty histogram, percentiles None)."""
+        """Rebuild from a :meth:`to_dict` snapshot."""
         dist = cls()
         dist.count = int(payload["count"])
         dist.total = float(payload["total"])
         dist.min = None if payload["min"] is None else float(payload["min"])
         dist.max = None if payload["max"] is None else float(payload["max"])
-        buckets = payload.get("buckets")
-        if buckets is not None and len(buckets) == len(dist.buckets):
-            dist.buckets = [int(n) for n in buckets]
-        dist.samples = [float(v) for v in payload.get("samples", ())]
+        dist.buckets = [int(n) for n in payload["buckets"]]
+        dist.samples = [float(v) for v in payload["samples"]]
         return dist
 
 

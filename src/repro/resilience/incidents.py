@@ -4,9 +4,8 @@ A crash that the firewall intercepts becomes one :class:`Incident` — a
 plain-data record of *where* the pipeline degraded (the firewall site and
 the unit's label), *what* was raised (exception class, message, a stable
 traceback digest for dedup across runs) and *how hard* the firewall tried
-(attempt count, transient classification). Incidents are picklable, so
-they cross the fork-pool boundary intact, and JSON-serializable, so they
-ride in the ``repro.obs/2`` stats payload as the optional ``incidents``
+(attempt count, transient classification). Incidents are picklable and
+JSON-serializable, so they ride in the ``repro.obs/2`` stats payload as the optional ``incidents``
 block.
 
 Run health is a three-valued verdict over one run's incidents:
@@ -112,10 +111,10 @@ def overall_health(
     """Classify a run: ``ok`` / ``degraded`` / ``failed``.
 
     ``units_total``/``units_failed`` count the run's isolation units
-    (engine shards, or serial channels + checkers). A run with incidents
-    but surviving units is ``degraded``; a run where every unit failed —
-    or that had incidents while producing no units at all (a
-    pipeline-level crash before sharding) — is ``failed``.
+    (engine shards). A run with incidents but surviving units is
+    ``degraded``; a run where every unit failed — or that had incidents
+    while producing no units at all (a pipeline-level crash before
+    sharding) — is ``failed``.
     """
     if not incidents:
         return HEALTH_OK

@@ -57,9 +57,7 @@ from typing import Dict, List, Optional
 from repro.detector.gcatch import (
     GCatchResult,
     resolve_checkers,
-    resolve_jobs,
     resolve_max_retries,
-    resolve_solver_mode,
     run_gcatch,
 )
 from repro.detector.reporting import BugReport
@@ -178,8 +176,6 @@ class AnalysisService:
     def __init__(
         self,
         path: str,
-        jobs: Optional[int] = None,
-        backend: Optional[str] = None,
         cache: Optional[ResultCache] = None,
         cache_dir: Optional[str] = None,
         budget_wall_seconds: Optional[float] = None,
@@ -187,7 +183,6 @@ class AnalysisService:
         max_retries: Optional[int] = None,
         retry_timeouts: bool = False,
         checkers: Optional[List[str]] = None,
-        solver_mode: Optional[str] = None,
         disentangle: bool = True,
         collector: Optional[Collector] = None,
         journal_path: Optional[str] = None,
@@ -207,14 +202,11 @@ class AnalysisService:
         # deliberately shared across tenants: fingerprints are
         # content-addressed, so identical code keys identical entries
         self.cache = cache or ResultCache(cache_dir)
-        self.jobs = resolve_jobs(jobs)
-        self.backend = backend
         self.budget_wall_seconds = budget_wall_seconds
         self.budget_solver_nodes = budget_solver_nodes
         self.max_retries = resolve_max_retries(max_retries)
         self.retry_timeouts = retry_timeouts
         self.checkers = resolve_checkers(checkers)
-        self.solver_mode = resolve_solver_mode(solver_mode)
         self.disentangle = disentangle
         self.firewall = Firewall(
             collector=self.collector,
@@ -624,12 +616,9 @@ class AnalysisService:
         from repro.engine import EngineConfig
 
         return EngineConfig(
-            jobs=self.jobs,
-            backend=self.backend or "thread",
             cache=ctx.cache,
             budget_wall_seconds=self.budget_wall_seconds,
             budget_solver_nodes=self.budget_solver_nodes,
-            solver_mode=self.solver_mode,
             disentangle=self.disentangle,
             checkers=self.checkers,
             max_retries=self.max_retries,
@@ -656,15 +645,12 @@ class AnalysisService:
             ctx.tenant.state.program,
             disentangle=self.disentangle,
             collector=ctx.obs,
-            jobs=self.jobs,
-            backend=self.backend,
             cache=ctx.cache,
             budget_wall_seconds=self.budget_wall_seconds,
             budget_solver_nodes=self.budget_solver_nodes,
             max_retries=self.max_retries,
             retry_timeouts=self.retry_timeouts,
             checkers=self.checkers,
-            solver_mode=self.solver_mode,
         )
         return result, refresh_payload
 

@@ -2,8 +2,8 @@
 
 Two properties, checked over 200 seeded fuzz-generator programs:
 
-* **interning is invisible** — every group decided through a batched
-  session produces exactly the outcome a fresh classic ``encode`` +
+* **interning is invisible** — every group decided through a session
+  produces exactly the outcome a fresh classic ``encode`` +
   ``solve_detailed`` produces on the same (combination, group): same
   verdict, same node and clause counts, and a byte-identical witness
   rendering. The interned attempt estimates the session writes into a
@@ -24,7 +24,7 @@ from repro.constraints.encoding import encode
 from repro.constraints.session import SolverSession
 from repro.constraints.solver import solve_detailed
 from repro.detector import bmoc as bmoc_module
-from repro.detector.bmoc import BMOCDetector
+from repro.detector.bmoc import detect_bmoc
 from repro.fuzz import generate_program
 from repro.ssa.builder import build_program
 
@@ -62,12 +62,11 @@ def outcome_fingerprint(outcome):
 
 
 def recorded_sessions(monkeypatch, source, name):
-    """Run one batched detect with journaling sessions; return them."""
+    """Run one BMOC detect with journaling sessions; return them."""
     RecordingSession.live = []
     monkeypatch.setattr(bmoc_module, "SolverSession", RecordingSession)
     program = build_program(source, name)
-    detector = BMOCDetector(program, solver_mode="batched")
-    detector.detect()
+    detect_bmoc(program)
     return [s for s in RecordingSession.live if s.calls]
 
 

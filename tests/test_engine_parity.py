@@ -1,113 +1,79 @@
-"""Parity regression: the sharded engine must reproduce the serial detector.
+"""Golden-output regression suite for detection.
 
-Every case in the evaluation bug set is detected twice — ``jobs=1``
-(serial path, no engine) and ``jobs=4`` (thread-pool engine) — and the
-sorted report sets must be identical down to category, lines, blocked
-operations, and solver outcome. This is the guarantee that makes ``--jobs``
-a pure performance knob.
+``tests/data/detect_golden.json`` (see :mod:`tests.golden`) holds the
+ordered ``render()`` of every report the serial detector produced on the
+21 corpus apps and the 49 bug-set cases, plus ``detect_bmoc`` on every
+GFix-patched bug-set program. Every detect must reproduce it byte for
+byte: cold, and warm through a result cache that serves every shard.
 """
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.corpus.bugset import build_bug_set
+from repro.detector.bmoc import detect_bmoc
 from repro.detector.gcatch import run_gcatch
 from repro.engine import ResultCache
-from repro.ssa.builder import build_program
+from tests import golden
 
+GOLDEN = golden.load()
+PROGRAMS = dict(golden.detect_programs())
 BUG_SET = build_bug_set()
 
 
-def detect_keys(program, **kwargs):
-    result = run_gcatch(program, **kwargs)
-    return sorted(
-        (
-            r.category,
-            tuple(r.lines),
-            tuple(sorted((op.kind, op.prim_label, op.line) for op in r.blocked_ops)),
-            r.solver_outcome,
-        )
-        for r in result.all_reports()
-    )
+def renders(result):
+    return golden.renders(result.all_reports())
+
+
+def test_golden_covers_apps_and_cases():
+    assert len(GOLDEN["detect"]) == 21 + 49
+    assert sum(len(r) for r in GOLDEN["detect"].values()) == 448
+    assert sorted(GOLDEN["detect"]) == sorted(PROGRAMS)
+
+
+@pytest.mark.parametrize("name", list(PROGRAMS))
+def test_warm_cache_matches_serial(name):
+    """Cold, then warm through one in-memory cache: both are the golden."""
+    program = PROGRAMS[name]
+    cache = ResultCache()
+    cold = run_gcatch(program, cache=cache)
+    assert renders(cold) == GOLDEN["detect"][name]
+    warm = run_gcatch(program, cache=cache)
+    assert {s.outcome for s in warm.shards} == {"cached"}
+    assert renders(warm) == GOLDEN["detect"][name]
 
 
 @pytest.mark.parametrize("case", BUG_SET, ids=[c.case_id for c in BUG_SET])
 def test_parallel_detection_matches_serial(case):
-    program = build_program(case.source, case.case_id)
-    serial = detect_keys(program)
-    parallel = detect_keys(program, jobs=4)
-    assert parallel == serial
+    """Two detects of one program on two threads at once — what the
+    analysis service's worker pool does — both reproduce the golden:
+    no state leaks between concurrent runs."""
+    program = PROGRAMS[case.case_id]
+    results = [None, None]
+
+    def detect(slot):
+        results[slot] = renders(run_gcatch(program))
+
+    threads = [threading.Thread(target=detect, args=(slot,)) for slot in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == [GOLDEN["detect"][case.case_id]] * 2
 
 
-@pytest.mark.parametrize(
-    "case", BUG_SET[::7], ids=[c.case_id for c in BUG_SET[::7]]
-)
-def test_warm_cache_matches_serial(case):
-    """A cache round-trip (cold store, warm load) must also preserve parity."""
-    program = build_program(case.source, case.case_id)
-    cache = ResultCache()
-    serial = detect_keys(program)
-    cold = detect_keys(program, jobs=2, cache=cache)
-    warm = detect_keys(program, jobs=2, cache=cache)
-    assert cold == serial
-    assert warm == serial
-
-
-def test_process_backend_parity_on_one_case():
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("no fork on this platform")
-    case = max(BUG_SET, key=lambda c: len(c.source))
-    program = build_program(case.source, case.case_id)
-    assert detect_keys(program, jobs=2, backend="process") == detect_keys(program)
-
-
-def span_shape(span):
-    """Order-insensitive structural fingerprint of a span tree."""
-    return (span.name, tuple(sorted(span_shape(c) for c in span.children)))
-
-
-def test_fork_backend_span_tree_matches_serial_shape():
-    """The ISSUE-7 lineage criterion: a jobs=4 fork-backend detect yields
-    one rooted span tree, identical in shape to the serial engine's, with
-    parent/trace lineage intact across the process boundary."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("no fork on this platform")
-
-    from repro.engine import EngineConfig, run_engine
-    from repro.obs import Collector, new_trace_id
-
-    case = max(BUG_SET, key=lambda c: len(c.source))
-    program = build_program(case.source, case.case_id)
-    trace = new_trace_id()
-    shapes = {}
-    for label, config in (
-        ("serial", EngineConfig(jobs=1)),
-        ("fork", EngineConfig(jobs=4, backend="process")),
-    ):
-        collector = Collector("engine", trace_id=trace)
-        run_engine(program, config=config, collector=collector)
-        assert len(collector.spans) == 1, f"{label}: expected one rooted tree"
-        root = collector.spans[0]
-        for span in root.walk():
-            assert span.trace_id == trace, f"{label}: {span.name} lost the trace"
-            for child in span.children:
-                assert child.parent_id == span.span_id
-        shapes[label] = span_shape(root)
-    assert shapes["fork"] == shapes["serial"]
+def test_patched_programs_match_golden():
+    patched = golden.patched_programs()
+    assert [name for name, _ in patched] == list(GOLDEN["patched"])
+    for name, program in patched:
+        assert golden.renders(detect_bmoc(program).reports) == GOLDEN["patched"][name]
 
 
 def test_whole_bugset_counts_match():
-    """Aggregate Table 1 counts are unchanged by sharding."""
-    serial_total = 0
-    engine_total = 0
-    for case in BUG_SET:
-        program = build_program(case.source, case.case_id)
-        serial_total += len(run_gcatch(program).all_reports())
-        engine_total += len(run_gcatch(program, jobs=4).all_reports())
-    assert engine_total == serial_total
-    assert serial_total > 0
+    """Aggregate report count over the bug set is the golden's."""
+    total = sum(len(run_gcatch(PROGRAMS[c.case_id]).all_reports()) for c in BUG_SET)
+    assert total == sum(len(GOLDEN["detect"][c.case_id]) for c in BUG_SET)
+    assert total > 0

@@ -198,6 +198,27 @@ def test_full_detect_trace_has_every_stage_exactly_once():
     assert "solver effort" in report.render()
 
 
+def test_each_traditional_checker_gets_its_own_shard_span():
+    from repro.detector.gcatch import run_gcatch
+    from repro.engine import TRADITIONAL_CHECKERS
+    from repro.ssa.builder import build_program
+
+    collector = Collector("figure1")
+    program = build_program(FIGURE1.source, "figure1.go")
+    result = run_gcatch(program, collector=collector)
+    [root] = collector.spans
+    assert root.name == "gcatch"
+    traditional = [
+        span for span in root.children
+        if span.name == "engine-shard" and span.attrs.get("kind") == "traditional"
+    ]
+    assert [span.attrs["shard"] for span in traditional] == list(TRADITIONAL_CHECKERS)
+    assert all(span.attrs["outcome"] == "ok" for span in traditional)
+    assert "traditional-checkers" not in collector.stage_totals()
+    assert collector.counters["detect.reports"] == len(result.all_reports())
+    assert collector.counters["engine.shards"] == len(result.shards)
+
+
 def test_explorer_aggregates_counters_across_goroutine_spawning_runs():
     collector = Collector()
     project = Project.from_source(FIGURE1.source, "figure1.go", collector=collector)
@@ -403,32 +424,6 @@ def test_snapshot_v2_round_trips_histograms_and_lineage():
     again = snapshot(restored)
     assert again["distributions"] == payload["distributions"]
     assert again["spans"] == payload["spans"]
-
-
-def test_load_accepts_v1_snapshots():
-    """PR-2-era snapshots (means-only dists, anonymous spans) still load."""
-    v1 = {
-        "schema": "repro.obs/1",
-        "name": "old-run",
-        "stages": [{"name": "solve", "count": 2, "seconds": 0.5}],
-        "counters": {"solver.calls": 2},
-        "gauges": {},
-        "distributions": {"sz": {"count": 2, "total": 12.0, "min": 2.0, "max": 10.0}},
-        "spans": [
-            {"name": "gcatch", "seconds": 0.6,
-             "children": [{"name": "solve", "seconds": 0.5}]},
-        ],
-    }
-    c = load(v1)
-    assert c.counters["solver.calls"] == 2
-    d = c.dists["sz"]
-    assert (d.count, d.mean) == (2, 6.0)
-    assert d.p50 is None  # /1 had no reservoir: percentiles honestly absent
-    # anonymous spans get fresh ids and consistent child lineage
-    root = c.spans[0]
-    assert root.span_id
-    assert root.children[0].parent_id == root.span_id
-    assert snapshot(c)["schema"] == "repro.obs/2"
 
 
 # -- Prometheus exposition ---------------------------------------------------

@@ -135,7 +135,7 @@ class TestFaultPlanFiring:
 
     def test_counts_are_per_label(self):
         # each unit counts its own calls: n=1 fires once for EVERY label,
-        # which is what makes serial and jobs=4 degrade identically
+        # which makes a plan independent of the order units run in
         plan = FaultPlan.parse("solve:raise:n=1")
         with pytest.raises(FaultInjected):
             plan.fire("solve", "alpha")
@@ -305,7 +305,7 @@ class TestCacheQuarantine:
 
         cache = ResultCache(str(tmp_path / "cache"))
         program = build(LEAK_TWO)
-        run_gcatch(program, jobs=1, cache=cache)
+        run_gcatch(program, cache=cache)
         return cache, program
 
     def test_corrupt_entry_quarantined_on_read(self, tmp_path):
@@ -314,7 +314,7 @@ class TestCacheQuarantine:
         assert paths
         paths[0].write_bytes(b"not a pickle at all")
         fresh_cache = type(cache)(str(tmp_path / "cache"))
-        result = run_gcatch(program, jobs=1, cache=fresh_cache)
+        result = run_gcatch(program, cache=fresh_cache)
         # the corrupted entry was quarantined (deleted), the shard
         # re-analyzed, and the fresh result stored back at the same key
         assert fresh_cache.corrupt == 1
@@ -327,7 +327,7 @@ class TestCacheQuarantine:
         paths = sorted((tmp_path / "cache").rglob("*.pkl"))
         paths[0].write_bytes(pickle.dumps({"not": "a CachedShard"}))
         fresh_cache = type(cache)(str(tmp_path / "cache"))
-        result = run_gcatch(program, jobs=1, cache=fresh_cache)
+        result = run_gcatch(program, cache=fresh_cache)
         assert fresh_cache.corrupt == 1
         assert result.health() == HEALTH_OK
 
@@ -337,7 +337,7 @@ class TestCacheQuarantine:
         collector = Collector()
         with injected("cache-read:raise"):
             result = run_gcatch(
-                program, jobs=1, cache=fresh_cache, collector=collector
+                program, cache=fresh_cache, collector=collector
             )
         # every probe failed => every shard re-ran: zero lost reports,
         # though each failed probe is recorded as a cache-read incident
@@ -351,7 +351,7 @@ class TestCacheQuarantine:
         cache = ResultCache(str(tmp_path / "cache"))
         program = build(LEAK_TWO)
         with injected("cache-write:raise"):
-            result = run_gcatch(program, jobs=1, cache=cache)
+            result = run_gcatch(program, cache=cache)
         assert len(result.bmoc.reports) == 2
         assert result.health() == HEALTH_DEGRADED
         assert all(i.site == "cache-write" for i in result.incidents)
@@ -363,7 +363,7 @@ class TestCacheQuarantine:
 class TestCheckerSelection:
     def test_unknown_checker_is_incident_not_abort_serial(self):
         program = build(LEAK_TWO)
-        result = run_gcatch(program, jobs=1, checkers=["double-lock", "warp-detector"])
+        result = run_gcatch(program, checkers=["double-lock", "warp-detector"])
         assert result.health() == HEALTH_DEGRADED
         assert len(result.incidents) == 1
         incident = result.incidents[0]
@@ -375,7 +375,7 @@ class TestCheckerSelection:
 
     def test_unknown_checker_is_incident_not_abort_engine(self):
         program = build(LEAK_TWO)
-        result = run_gcatch(program, jobs=2, checkers=["warp-detector"])
+        result = run_gcatch(program, checkers=["warp-detector"])
         assert result.health() == HEALTH_DEGRADED
         assert [s.outcome for s in result.failed_shards()] == ["failed"]
         assert "valid checkers" in result.incidents[0].message
@@ -383,9 +383,9 @@ class TestCheckerSelection:
     def test_env_checker_selection(self, monkeypatch):
         program = build(LEAK_TWO)
         monkeypatch.setenv("REPRO_CHECKERS", "double-lock,forget-unlock")
-        result = run_gcatch(program, jobs=1)
+        result = run_gcatch(program)
         assert result.health() == HEALTH_OK
-        assert result.units_total == 2 + 2  # two channels + two checkers
+        assert len(result.shards) == 2 + 2  # two channels + two checkers
 
 
 # -- serial firewall behaviour -----------------------------------------------
@@ -396,12 +396,22 @@ class TestSerialResilience:
         program = build(LEAK_TWO)
         collector = Collector()
         with injected("solve@alpha:raise"):
-            result = run_gcatch(program, jobs=1, collector=collector)
+            result = run_gcatch(program, collector=collector)
         assert result.health() == HEALTH_DEGRADED
         assert len(result.bmoc.reports) == 1
         assert "bravo" in result.bmoc.reports[0].description
         assert result.incidents[0].site == "solve"
         assert collector.counters["resilience.incident"] == 1
+
+    def test_detect_bmoc_raises_instead_of_degrading(self):
+        """The plain BMOC API must not hand a crashed analysis to its
+        callers (patch validation, coverage) as a clean program."""
+        from repro.detector.bmoc import detect_bmoc
+
+        program = build(LEAK_TWO)
+        with injected("solve@alpha:raise"):
+            with pytest.raises(RuntimeError, match="FaultInjected"):
+                detect_bmoc(program)
 
     def test_detect_init_crash_is_failed_run(self):
         program = build(LEAK_TWO)
@@ -411,10 +421,10 @@ class TestSerialResilience:
             # units die
             pass
         with injected("encode:raise"):
-            result = run_gcatch(program, jobs=1)
+            result = run_gcatch(program)
         assert result.health() == HEALTH_DEGRADED  # checkers survived
         assert not result.bmoc.reports
-        assert result.units_failed == 2
+        assert len(result.failed_shards()) == 2
 
     def test_parse_fault_fires(self):
         from repro.golang.parser import parse_file
@@ -441,7 +451,7 @@ class TestSerialResilience:
         program = build(LEAK_TWO)
         collector = Collector()
         with injected("solve@alpha:raise-transient:times=1"):
-            result = run_gcatch(program, jobs=1, collector=collector, max_retries=1)
+            result = run_gcatch(program, collector=collector, max_retries=1)
         # one transient crash, one retry, full report set
         assert result.health() == HEALTH_OK
         assert len(result.bmoc.reports) == 2
@@ -606,11 +616,11 @@ class TestBatchedTimeoutDegradation:
     the run degraded — never failed (ISSUE 8 satellite)."""
 
     @pytest.mark.parametrize("mode", ["batched", "classic"])
-    def test_midbatch_budget_timeout_keeps_siblings(self, mode):
+    def test_midbatch_budget_timeout_keeps_siblings(self, mode, request):
+        if mode == "classic":
+            request.getfixturevalue("classic_solving")
         program = build(MIXED_COST)
-        result = run_gcatch(
-            program, jobs=2, budget_solver_nodes=4, solver_mode=mode
-        )
+        result = run_gcatch(program, budget_solver_nodes=4)
         timeouts = result.timed_out_shards()
         assert len(timeouts) == 1 and "bravo" in timeouts[0].label
         labels = {r.primitive.site.label for r in result.bmoc.reports}
@@ -618,15 +628,15 @@ class TestBatchedTimeoutDegradation:
         assert result.bmoc.stats.analysis_timeouts == 1
         assert result.health() != HEALTH_FAILED
 
-    def test_modes_walk_the_same_budget_trajectory(self):
-        """Memo hits charge the memoized node count, so batched and
-        classic exhaust a budget at exactly the same group."""
+    def test_modes_walk_the_same_budget_trajectory(self, request):
+        """Memo hits charge the memoized node count, so the session and
+        from-scratch solving exhaust a budget at exactly the same group."""
         program = build(MIXED_COST)
         outcomes = {}
         for mode in ("batched", "classic"):
-            result = run_gcatch(
-                program, jobs=2, budget_solver_nodes=4, solver_mode=mode
-            )
+            if mode == "classic":
+                request.getfixturevalue("classic_solving")
+            result = run_gcatch(program, budget_solver_nodes=4)
             outcomes[mode] = (
                 sorted(r.render() for r in result.all_reports()),
                 [s.label for s in result.timed_out_shards()],
@@ -637,15 +647,15 @@ class TestBatchedTimeoutDegradation:
         assert outcomes["batched"] == outcomes["classic"]
 
     @pytest.mark.parametrize("mode", ["batched", "classic"])
-    def test_timeout_plus_crash_degrades_not_fails(self, mode):
+    def test_timeout_plus_crash_degrades_not_fails(self, mode, request):
         """The full degradation ladder in one run: bravo exhausts its
         budget (TIMEOUT), gamma's solve crashes (incident), and alpha's
         report still ships under ``degraded`` health."""
+        if mode == "classic":
+            request.getfixturevalue("classic_solving")
         program = build(MIXED_COST)
         with injected("solve@gamma:raise"):
-            result = run_gcatch(
-                program, jobs=2, budget_solver_nodes=4, solver_mode=mode
-            )
+            result = run_gcatch(program, budget_solver_nodes=4)
         assert result.health() == HEALTH_DEGRADED
         assert any("bravo" in s.label for s in result.timed_out_shards())
         assert any("gamma" in s.label for s in result.failed_shards())

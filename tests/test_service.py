@@ -21,9 +21,9 @@ import pytest
 from repro.resilience.faultinject import injected
 from repro.service import (
     AnalysisService,
+    FairScheduler,
     ProjectState,
     Request,
-    RequestQueue,
     ServiceClient,
     ServiceConnectionError,
     decode_request,
@@ -159,6 +159,8 @@ class TestProtocol:
 
 
 class TestRequestQueue:
+    """One worker, one tenant: the fair scheduler is a plain FIFO."""
+
     def test_fifo_order(self):
         seen = []
         release = threading.Event()
@@ -169,7 +171,7 @@ class TestRequestQueue:
             seen.append(request.id)
             return {"id": request.id, "result": {}}
 
-        queue = RequestQueue(handler)
+        queue = FairScheduler(handler, workers=1)
         queue.start()
         futures = [queue.submit(Request(id=i, method="ping")) for i in range(5)]
         release.set()
@@ -186,7 +188,7 @@ class TestRequestQueue:
             time.sleep(0.1)
             return {"id": request.id, "result": {}}
 
-        queue = RequestQueue(handler)
+        queue = FairScheduler(handler, workers=1)
         queue.start()
         first = queue.submit(Request(id="slow", method="ping"))
         doomed = queue.submit(
@@ -199,7 +201,7 @@ class TestRequestQueue:
         assert ran == ["slow"]
 
     def test_submit_after_stop_refused(self):
-        queue = RequestQueue(lambda r: {"id": r.id, "result": {}})
+        queue = FairScheduler(lambda r: {"id": r.id, "result": {}}, workers=1)
         queue.start()
         queue.stop()
         response = queue.submit(Request(id=1, method="ping")).result(timeout=5)
@@ -216,7 +218,7 @@ class TestRequestQueue:
             release.wait(timeout=5)
             return {"id": request.id, "result": {}}
 
-        queue = RequestQueue(handler)
+        queue = FairScheduler(handler, workers=1)
         queue.start()
         running = queue.submit(Request(id="running", method="ping"))
         waiting = queue.submit(Request(id="waiting", method="ping"))

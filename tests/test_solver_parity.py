@@ -1,15 +1,14 @@
-"""Solver-mode parity: batched sessions must reproduce classic solving.
+"""Solver parity: the SolverSession must reproduce from-scratch solving.
 
-``--solver-mode batched`` routes every (combination, suspicious group)
-decision through one :class:`repro.constraints.session.SolverSession`
-per primitive — interned structures, a verdict memo, push/pop group
-scopes — while ``classic`` encodes and solves each group from scratch.
-The guarantee that makes the session a pure performance knob: **byte
-identical** reports. Every case in the evaluation bug set is detected
-under both modes and compared down to the rendered report text, the
-solver outcomes, the cost table, and the detection statistics — on the
-serial path, under the jobs=4 thread engine, and under the fork-based
-process engine.
+Detection decides every (combination, suspicious group) pair through one
+:class:`repro.constraints.session.SolverSession` per primitive — interned
+structures, a verdict memo, push/pop group scopes. The memo is a
+shortcut, so it is checked differentially against the *classic*
+reference, which encodes and solves every group from scratch
+(``tests.conftest.solve_from_scratch``). Over the whole evaluation bug
+set the two must agree per group, and per run down to the rendered
+report text, the solver outcomes, the cost table and the detection
+statistics.
 """
 
 from __future__ import annotations
@@ -21,13 +20,15 @@ from repro.detector.gcatch import run_gcatch
 from repro.obs import Collector
 from repro.report.table import render_bug_costs
 from repro.ssa.builder import build_program
+from tests.conftest import solve_from_scratch
+from tests.test_constraints_session import outcome_fingerprint, recorded_sessions
 
 BUG_SET = build_bug_set()
 
 
-def detect_fingerprint(program, solver_mode, **kwargs):
-    """Everything a solver-mode switch could plausibly perturb."""
-    result = run_gcatch(program, solver_mode=solver_mode, **kwargs)
+def detect_fingerprint(program):
+    """Everything the solve path could plausibly perturb."""
+    result = run_gcatch(program)
     reports = sorted(result.all_reports(), key=lambda r: r.render())
     stats = result.bmoc.stats
     return {
@@ -46,67 +47,33 @@ def detect_fingerprint(program, solver_mode, **kwargs):
 
 
 @pytest.mark.parametrize("case", BUG_SET, ids=[c.case_id for c in BUG_SET])
-def test_batched_matches_classic_serial(case):
-    program = build_program(case.source, case.case_id)
-    classic = detect_fingerprint(program, "classic")
-    batched = detect_fingerprint(program, "batched")
-    assert batched == classic
+def test_batched_matches_classic_serial(case, monkeypatch):
+    """Per group: every session verdict equals a from-scratch solve."""
+    for session in recorded_sessions(monkeypatch, case.source, case.case_id):
+        for combo, group, max_nodes, outcome in session.calls:
+            classic = solve_from_scratch(combo, group, max_nodes)
+            assert outcome_fingerprint(outcome) == outcome_fingerprint(classic)
 
 
 @pytest.mark.parametrize("case", BUG_SET, ids=[c.case_id for c in BUG_SET])
-def test_batched_matches_classic_sharded(case):
-    """jobs=4 through the thread engine: one session per shard, same bytes."""
+def test_batched_matches_classic_sharded(case, request):
+    """Per run: the engine's shards (one session each) give the same
+    bytes as a run whose every group is solved from scratch."""
     program = build_program(case.source, case.case_id)
-    classic = detect_fingerprint(program, "classic", jobs=4)
-    batched = detect_fingerprint(program, "batched", jobs=4)
+    batched = detect_fingerprint(program)
+    request.getfixturevalue("classic_solving")
+    classic = detect_fingerprint(program)
     assert batched == classic
-
-
-def test_process_backend_parity_on_widest_case():
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("no fork on this platform")
-    case = max(BUG_SET, key=lambda c: len(c.source))
-    program = build_program(case.source, case.case_id)
-    classic = detect_fingerprint(program, "classic", jobs=2, backend="process")
-    batched = detect_fingerprint(program, "batched", jobs=2, backend="process")
-    assert batched == classic
-
-
-def test_modes_agree_on_whole_bugset_counts():
-    """Aggregate Table 1 counts are unchanged by the session."""
-    classic_total = 0
-    batched_total = 0
-    for case in BUG_SET:
-        program = build_program(case.source, case.case_id)
-        classic_total += len(
-            run_gcatch(program, solver_mode="classic").all_reports()
-        )
-        batched_total += len(
-            run_gcatch(program, solver_mode="batched").all_reports()
-        )
-    assert batched_total == classic_total
-    assert classic_total > 0
 
 
 def test_session_actually_engages():
-    """The batched run must exercise the session machinery, not bypass it:
-    across the bug set the interner and the verdict memo both fire, and the
-    batched-solve histogram records wall time."""
+    """Detection must exercise the session machinery, not bypass it:
+    across the bug set the interner and the verdict memo both fire, and
+    the batched-solve histogram records wall time."""
     collector = Collector("solver-parity")
     for case in BUG_SET:
         program = build_program(case.source, case.case_id)
-        run_gcatch(program, collector=collector, solver_mode="batched")
+        run_gcatch(program, collector=collector)
     assert collector.counters.get("solver.intern.hit", 0) > 0
     assert collector.counters.get("solver.session.reuse", 0) > 0
     assert "solver.batched.seconds" in collector.dists
-
-
-def test_classic_never_touches_session_counters():
-    collector = Collector("solver-parity-classic")
-    for case in BUG_SET[::5]:
-        program = build_program(case.source, case.case_id)
-        run_gcatch(program, collector=collector, solver_mode="classic")
-    assert "solver.session.reuse" not in collector.counters
-    assert "solver.intern.hit" not in collector.counters

@@ -1,35 +1,32 @@
 """Experiment E-fleet: corpus-sweep scaling and resume overhead.
 
-Sweeps a 49-unit corpus across 1, 2 and 3 **process-mode** daemons
-(thread-mode daemons share the GIL, so only separate processes show
-real CPU scaling) and measures dispatch throughput at each width.
+Sweeps a 49-unit corpus on process pools of 1, 2 and 3 workers (one
+worker runs inline, the reference every width must match byte for byte)
+and measures throughput at each width. Pool start-up is inside the
+timed sweep: it is part of what a sweep costs.
 
 The public 49-program bug set makes a poor *scaling* corpus: each case
-detects in ~6 ms, so a sweep is driver-overhead bound and adding
-daemons buys nothing. The benchmark corpus instead composes 24
-real-template BMOC instances per unit (~50-60 ms of detector work
-each), so the server-side cost dominates and the width sweep measures
-what it claims to. Parity of the *bug-set* corpus against the serial
-reference is covered by tests/test_fleet_resume.py; parity of this
-corpus is asserted here at every width.
+detects in ~6 ms, so a sweep is dispatch-overhead bound and adding
+workers buys nothing. The benchmark corpus instead composes 12
+real-template BMOC instances per unit (~35-50 ms of detector work each),
+so the analysis dominates and the width sweep measures what it claims
+to. Parity of the *bug-set* corpus is covered by
+tests/test_fleet_resume.py; parity of this corpus is asserted here at
+every width.
 
-Daemon spawn cost is measured separately: it is a fixed per-width
-price paid once per sweep (concurrently across the fleet), not a
-per-unit cost.
-
-Then the 3-daemon sweep re-runs against its own manifest to measure
+Then the 3-worker sweep re-runs against its own manifest to measure
 resume overhead (every unit skips — the cost is fingerprinting +
 replay).
 
 Asserted floors (generous — CI containers are noisy):
 
-* every fleet width is byte-identical to the serial reference;
-* 3 daemons beat 1 daemon on dispatch wall clock — asserted only with
-  >= 3 real cores behind the fleet (same gate as E-engine: a 1-core
-  container cannot parallelise CPU-bound daemons, it can only time-slice
-  them); everywhere, width 3 must stay within 1.5x of width 1, so fleet
-  coordination overhead regressions still fail the bench;
-* a full-skip resume costs < 50% of the 1-daemon dispatch time.
+* every width is byte-identical to the one-worker sweep;
+* 3 workers beat 1 worker on wall clock — asserted only with >= 3 real
+  cores behind the pool (same gate as E-engine: a 1-core container
+  cannot parallelise CPU-bound workers, it can only time-slice them);
+  everywhere, width 3 must stay within 1.5x of width 1, so pool
+  overhead regressions still fail the bench;
+* a full-skip resume costs < 50% of the 1-worker sweep.
 """
 
 from __future__ import annotations
@@ -41,13 +38,7 @@ import time
 
 from benchmarks.conftest import record_report
 from repro.corpus import templates
-from repro.fleet import (
-    FleetSupervisor,
-    canonical_bytes,
-    plan_corpus,
-    run_sweep,
-    serial_sweep,
-)
+from repro.fleet import canonical_bytes, plan_corpus, run_sweep
 from repro.report.table import render_simple
 
 ARTIFACT = os.path.join(os.path.dirname(__file__), "..", "BENCH_fleet.json")
@@ -55,8 +46,8 @@ ARTIFACT = os.path.join(os.path.dirname(__file__), "..", "BENCH_fleet.json")
 WIDTHS = (1, 2, 3)
 UNITS = 49
 #: template-instance multiplier per unit (6 factories x 2 = 12 instances,
-#: ~25-30 ms of detect work — heavy enough that daemons, not the driver,
-#: are the bottleneck)
+#: ~35-50 ms of detect work — heavy enough that the analysis, not the
+#: pool, is the bottleneck)
 MULT = 2
 
 
@@ -83,83 +74,62 @@ def test_fleet_scaling_and_resume_overhead():
         materialize_heavy_corpus(corpus)
         plan = plan_corpus(corpus)
         assert len(plan.units) == UNITS
-        seed_path = plan.units[0].path
-
-        serial_started = time.perf_counter()
-        serial = serial_sweep(plan)
-        serial_seconds = time.perf_counter() - serial_started
-        assert serial.complete()
-        reference = canonical_bytes(serial.report())
 
         by_width = {}
+        reference = None
         for width in WIDTHS:
-            spawn_started = time.perf_counter()
-            supervisor = FleetSupervisor(width, seed_path, mode="process").start()
-            spawn_seconds = time.perf_counter() - spawn_started
-            try:
-                result = run_sweep(
-                    plan,
-                    manifest_path=os.path.join(tmp, f"m{width}.jsonl"),
-                    supervisor=supervisor,
-                )
-            finally:
-                supervisor.stop()
+            result = run_sweep(
+                plan,
+                workers=width,
+                manifest_path=os.path.join(tmp, f"m{width}.jsonl"),
+            )
             assert result.complete() and not result.failed
-            assert canonical_bytes(result.report()) == reference
+            report_bytes = canonical_bytes(result.report())
+            if reference is None:
+                reference = report_bytes
+            assert report_bytes == reference
             tel = result.telemetry()
             by_width[width] = {
-                "spawn_seconds": round(spawn_seconds, 4),
-                "dispatch_seconds": round(tel["elapsed_seconds"], 4),
+                "sweep_seconds": round(tel["elapsed_seconds"], 4),
                 "units_per_second": round(tel["units_per_second"], 2),
                 "unit_p50_seconds": tel["unit_p50_seconds"],
                 "unit_p95_seconds": tel["unit_p95_seconds"],
-                "by_daemon": tel["by_daemon"],
             }
 
-        # resume against the 3-daemon manifest: all units skip, so the
-        # daemons never hear about them — measure with a live fleet anyway
-        supervisor = FleetSupervisor(3, seed_path, mode="process").start()
-        try:
-            resume_started = time.perf_counter()
-            resumed = run_sweep(
-                plan,
-                manifest_path=os.path.join(tmp, "m3.jsonl"),
-                supervisor=supervisor,
-            )
-            resume_seconds = time.perf_counter() - resume_started
-        finally:
-            supervisor.stop()
+        # resume against the 3-worker manifest: every unit skips, so no
+        # pool is ever started
+        resume_started = time.perf_counter()
+        resumed = run_sweep(
+            plan, workers=3, manifest_path=os.path.join(tmp, "m3.jsonl")
+        )
+        resume_seconds = time.perf_counter() - resume_started
         assert resumed.complete()
         assert resumed.telemetry()["skipped"] == UNITS
         assert canonical_bytes(resumed.report()) == reference
 
-    # speedup needs real cores behind the daemons (same gate as E-engine);
-    # the overhead ceiling holds everywhere — a fleet must never cost more
-    # than 1.5x the single-daemon sweep just for being a fleet
+    # speedup needs real cores behind the workers (same gate as E-engine);
+    # the overhead ceiling holds everywhere — a pool must never cost more
+    # than 1.5x the inline sweep just for being a pool
     if (os.cpu_count() or 1) >= 3:
-        assert by_width[3]["dispatch_seconds"] < by_width[1]["dispatch_seconds"]
-    assert by_width[3]["dispatch_seconds"] < 1.5 * by_width[1]["dispatch_seconds"]
-    assert resume_seconds < 0.5 * by_width[1]["dispatch_seconds"]
+        assert by_width[3]["sweep_seconds"] < by_width[1]["sweep_seconds"]
+    assert by_width[3]["sweep_seconds"] < 1.5 * by_width[1]["sweep_seconds"]
+    assert resume_seconds < 0.5 * by_width[1]["sweep_seconds"]
 
     rows = [
-        ["serial (in-process)", f"{serial_seconds:.2f}",
-         f"{UNITS / serial_seconds:.1f}", "-", "-"]
-    ] + [
         [
-            f"{width} daemon(s)",
-            f"{by_width[width]['dispatch_seconds']:.2f}",
+            f"{width} worker(s)" + (" (inline)" if width == 1 else ""),
+            f"{by_width[width]['sweep_seconds']:.2f}",
             f"{by_width[width]['units_per_second']:.1f}",
-            f"{by_width[width]['spawn_seconds']:.2f}",
             "yes",
         ]
         for width in WIDTHS
     ] + [
-        [f"resume (all {UNITS} skip)", f"{resume_seconds:.2f}", "-", "-", "yes"],
+        [f"resume (all {UNITS} skip)", f"{resume_seconds:.2f}", "-", "yes"],
     ]
     body = render_simple(
-        ["configuration", "dispatch s", "units/s", "spawn s", "byte-parity"],
+        ["configuration", "sweep s", "units/s", "byte-parity"],
         rows,
-        title=f"{UNITS}-unit composed corpus sweep (process-mode daemons)",
+        title=f"{UNITS}-unit composed corpus sweep ({os.cpu_count()} CPUs, process pool)",
     )
     record_report("E-fleet: sweep scaling and resume overhead", body)
 
@@ -167,15 +137,14 @@ def test_fleet_scaling_and_resume_overhead():
         json.dump(
             {
                 "experiment": "fleet-sweep-scaling",
-                "mode": "process",
+                "mode": "process-pool",
                 "cpus": os.cpu_count(),
                 "units": UNITS,
                 "instances_per_unit": 6 * MULT,
-                "serial_seconds": round(serial_seconds, 4),
-                "by_daemons": {str(w): by_width[w] for w in WIDTHS},
+                "by_workers": {str(w): by_width[w] for w in WIDTHS},
                 "resume_seconds": round(resume_seconds, 4),
-                "resume_overhead_vs_one_daemon": round(
-                    resume_seconds / by_width[1]["dispatch_seconds"], 4
+                "resume_overhead_vs_one_worker": round(
+                    resume_seconds / by_width[1]["sweep_seconds"], 4
                 ),
                 "byte_parity": True,
             },

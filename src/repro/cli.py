@@ -11,7 +11,7 @@ Commands mirror the paper's tooling:
   explorer's dynamic verdicts over the 49-bug corpus;
 * ``stats``           — run the full pipeline under the observability
   layer and print the per-stage trace (``--json`` for the machine form);
-* ``fleet``           — resumable corpus sweeps across N daemon
+* ``fleet``           — resumable corpus sweeps on a pool of worker
   processes (``corpus``/``plan``/``sweep``/``fuzz`` subcommands);
 * ``nonblocking FILE``— the §6 extension (send-on-closed / double-close);
 * ``table1``          — regenerate Table 1 over the synthetic corpus;
@@ -74,6 +74,26 @@ def _activate_faults(args) -> bool:
     return False
 
 
+def exit_code_for(
+    reports: int,
+    timed_out: bool,
+    health: str,
+    incidents: int,
+    strict: bool = False,
+    fail_on_timeout: bool = False,
+) -> int:
+    """The ``detect`` exit-code policy, shared with the daemon and fleet
+    sweeps: 1 for findings, 3 for exhausted budgets (opt-in), 4 for
+    resilience failures (always on ``failed`` health, any incident under
+    strict)."""
+    code = 1 if reports else 0
+    if fail_on_timeout and timed_out:
+        code = EXIT_TIMEOUT
+    if (strict and incidents) or health == "failed":
+        code = EXIT_INCIDENT
+    return code
+
+
 def _health_exit(health: str, incidents, strict: bool) -> Optional[int]:
     """The resilience exit-code policy, shared by detect/fix/stats."""
     if strict and incidents:
@@ -104,12 +124,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
     reports = result.all_reports()
     timed_out = result.has_timeouts()
     health = result.health()
-    exit_code = 1 if reports else 0
-    if args.fail_on_timeout and timed_out:
-        exit_code = EXIT_TIMEOUT
-    incident_exit = _health_exit(health, result.incidents, args.strict)
-    if incident_exit is not None:
-        exit_code = incident_exit
+    exit_code = exit_code_for(
+        len(reports), timed_out, health, len(result.incidents),
+        strict=args.strict, fail_on_timeout=args.fail_on_timeout,
+    )
     if args.trace_out and collector is not None:
         from repro.obs import write_trace
 
@@ -585,13 +603,13 @@ def _fleet_build_plan(args: argparse.Namespace):
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    """Fleet sweeps: materialize a corpus, plan it, sweep it across N
-    daemons (``sweep``), or scale out a fuzz campaign (``fuzz``).
+    """Fleet sweeps: materialize a corpus, plan it, sweep it on a pool
+    of worker processes (``sweep``), or scale out a fuzz campaign
+    (``fuzz``).
 
     Exit codes: 0 — every unit completed; 1 — some units failed after
-    retries (the report marks them incomplete); 4 — the sweep died (a
-    supervisor checkpoint kill or an unrecoverable daemon); resume by
-    re-running with the same ``--manifest``.
+    retries (the report marks them incomplete); 4 — the sweep was killed
+    at a checkpoint; resume by re-running with the same ``--manifest``.
     """
     import os
 
@@ -618,25 +636,12 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             print(f"{len(plan.units)} unit(s)")
         return 0
     try:
-        if args.serial:
-            result = fleet.serial_sweep(plan)
-        else:
-            result = fleet.run_sweep(
-                plan,
-                daemons=args.daemons,
-                mode=args.mode,
-                manifest_path=args.manifest,
-                workers=args.workers,
-                deadline_seconds=args.deadline,
-                straggler_timeout=args.straggler_timeout,
-                journal_path=_journal_path(args),
-            )
+        result = fleet.run_sweep(
+            plan, workers=args.workers, manifest_path=args.manifest
+        )
     except fleet.SweepKilled as exc:
         print(f"sweep killed: {exc} — re-run with the same --manifest "
               "to resume", file=sys.stderr)
-        return EXIT_INCIDENT
-    except fleet.SupervisorError as exc:
-        print(f"sweep aborted: {exc}", file=sys.stderr)
         return EXIT_INCIDENT
     report = result.report()
     if args.out:
@@ -656,7 +661,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             f"  {tel['executed']} executed / {tel['skipped']} skipped in "
             f"{tel['elapsed_seconds']:.2f}s"
             + (f" ({rate:.2f} units/s)" if rate else "")
-            + f"; restarts={tel['restarts']} sheds={tel['sheds']}"
+            + f"; redispatches={tel['redispatches']}"
         )
         for uid, reason in sorted(result.failed.items()):
             print(f"  FAILED {uid}: {reason}", file=sys.stderr)
@@ -933,7 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "fleet",
-        help="resumable corpus sweeps across N analysis daemons",
+        help="resumable corpus sweeps on a pool of worker processes",
     )
     fleet_sub = p.add_subparsers(dest="fleet_command", required=True)
 
@@ -944,34 +949,20 @@ def build_parser() -> argparse.ArgumentParser:
     fp.set_defaults(func=cmd_fleet)
 
     def _add_fleet_sweep_args(fp):
-        fp.add_argument("--daemons", type=int, default=1,
-                        help="daemon count (default: 1)")
-        fp.add_argument("--mode", choices=["thread", "process"], default="process",
-                        help="daemon backend: separate processes (default) or "
-                             "in-process served threads")
+        fp.add_argument("--workers", type=int, default=None,
+                        help="worker processes (default: one per CPU, at most "
+                             "one per unit); 1 runs inline")
         fp.add_argument("--manifest", default=None, metavar="PATH",
                         help="resumable JSONL checkpoint; re-running with the "
                              "same manifest skips completed units whose "
                              "fingerprints still match")
-        fp.add_argument("--workers", type=int, default=1,
-                        help="scheduler workers per daemon (default: 1)")
-        fp.add_argument("--serial", action="store_true",
-                        help="run the serial in-process reference sweep "
-                             "instead of a daemon fleet (parity baseline)")
-        fp.add_argument("--deadline", type=float, default=None,
-                        help="per-unit queue deadline in seconds")
-        fp.add_argument("--straggler-timeout", type=float, default=None,
-                        help="seconds before an unresponsive unit's daemon is "
-                             "restarted and the unit re-dispatched")
         fp.add_argument("--out", default=None, metavar="PATH",
                         help="write the canonical report bytes here")
-        fp.add_argument("--journal", default=None, metavar="PATH",
-                        help="append per-unit telemetry records for repro top")
         fp.add_argument("--json", action="store_true",
                         help="emit report + telemetry as JSON")
         fp.add_argument("--faults", default=None, metavar="SPEC",
-                        help="deterministic fault plan (sites fleet-supervisor "
-                             "/ fleet-dispatch for chaos drills)")
+                        help="deterministic fault plan (sites fleet-dispatch "
+                             "/ fleet-checkpoint for chaos drills)")
         fp.add_argument("--fault-seed", type=int, default=0)
 
     fp = fleet_sub.add_parser(
@@ -982,14 +973,14 @@ def build_parser() -> argparse.ArgumentParser:
     fp.set_defaults(func=cmd_fleet)
 
     fp = fleet_sub.add_parser(
-        "sweep", help="sweep a corpus tree across N daemons"
+        "sweep", help="sweep a corpus tree on a pool of worker processes"
     )
     fp.add_argument("path", help="corpus directory (or one .go file)")
     _add_fleet_sweep_args(fp)
     fp.set_defaults(func=cmd_fleet)
 
     fp = fleet_sub.add_parser(
-        "fuzz", help="scale a fuzz campaign out across N daemons"
+        "fuzz", help="scale a fuzz campaign out on a pool of worker processes"
     )
     fp.add_argument("--seed", type=int, default=0, help="campaign seed")
     fp.add_argument("--count", type=int, required=True,

@@ -54,8 +54,15 @@ class BugReport:
         return sorted(set(lines))
 
     def identity(self) -> Tuple:
-        """Dedup key: category + the (kind, label, line) of blocked ops."""
-        ops = tuple(sorted((op.kind, op.prim_label, op.line) for op in self.blocked_ops))
+        """Dedup key: category + the (kind, label, function, line) of
+        blocked ops. The function keeps same-line ops in different files
+        of one package apart."""
+        ops = tuple(
+            sorted(
+                (op.kind, op.prim_label, op.function, op.line)
+                for op in self.blocked_ops
+            )
+        )
         return (self.category, ops, tuple(self.extra_lines))
 
     def render(self) -> str:
@@ -72,6 +79,17 @@ class BugReport:
                 f"{self.solver_nodes} node(s), {self.solver_outcome or '?'}"
             )
         return "\n".join(parts)
+
+
+def report_to_json(report: BugReport) -> dict:
+    """The wire/checkpoint form of a report: what the daemon's ``detect``
+    and fleet sweeps carry."""
+    return {
+        "category": report.category,
+        "description": report.description,
+        "lines": list(report.lines),
+        "render": report.render(),
+    }
 
 
 def dedup_reports(reports: List[BugReport]) -> List[BugReport]:

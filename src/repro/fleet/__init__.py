@@ -1,21 +1,18 @@
-"""repro.fleet — resumable corpus sweeps across N analysis daemons.
+"""repro.fleet — resumable corpus sweeps on a process pool.
 
 The fleet pipeline, module per stage:
 
 * :mod:`repro.fleet.plan` — walk a corpus (or shard a fuzz campaign)
   into deterministic, content-fingerprinted work units;
-* :mod:`repro.fleet.supervisor` — spawn/health-check/restart N
-  ``repro serve`` daemons (thread or process backend);
-* :mod:`repro.fleet.driver` — least-loaded dispatch with backpressure,
-  straggler re-dispatch, and checkpointing; plus the serial reference
-  sweep the parity suite compares against;
+* :mod:`repro.fleet.driver` — run each unit on a pool of worker
+  processes (inline with one worker), checkpoint, retry;
 * :mod:`repro.fleet.manifest` — the torn-line-tolerant JSONL checkpoint
   a killed sweep resumes from;
 * :mod:`repro.fleet.report` — deterministic aggregation (the byte-parity
   surface) and the separate telemetry rollup.
 """
 
-from repro.fleet.driver import FleetResult, SweepKilled, run_sweep, serial_sweep
+from repro.fleet.driver import FleetResult, SweepKilled, run_sweep, run_unit
 from repro.fleet.manifest import SweepManifest
 from repro.fleet.plan import (
     SweepPlan,
@@ -34,14 +31,10 @@ from repro.fleet.report import (
     outcome_from_fuzz,
     render,
 )
-from repro.fleet.supervisor import DaemonHandle, FleetSupervisor, SupervisorError
 
 __all__ = [
-    "DaemonHandle",
     "FLEET_REPORT_KIND",
     "FleetResult",
-    "FleetSupervisor",
-    "SupervisorError",
     "SweepKilled",
     "SweepManifest",
     "SweepPlan",
@@ -56,6 +49,6 @@ __all__ = [
     "plan_fuzz",
     "render",
     "run_sweep",
-    "serial_sweep",
+    "run_unit",
     "unit_fingerprint",
 ]

@@ -1,38 +1,42 @@
-"""The fleet driver: dispatch work units to daemons, checkpoint, aggregate.
+"""The fleet driver: run work units on a process pool, checkpoint, aggregate.
 
-Placement is **least-loaded by construction**: one driver thread per
-daemon pulls the next unit from a shared plan-ordered queue the moment
-its daemon is free, so a slow unit on one daemon never idles the others
-(classic work-queue scheduling — no load estimator to get wrong).
+GCatch analyzes each program on its own, so a sweep parallelizes at unit
+granularity and nowhere else. :func:`run_unit` is the whole per-unit
+job: a project unit loads its files and runs GCatch, a fuzz unit runs
+its campaign shard. :func:`run_sweep` feeds units to it — inline with
+one worker, through one :class:`~concurrent.futures.ProcessPoolExecutor`
+with more — and keeps everything else in the parent process:
 
-Per-attempt failure handling, in order of escalation:
-
-* ``OVERLOADED`` / ``QUOTA_EXCEEDED`` sheds honor the daemon's
-  ``retry_after`` hint (bounded waits, then the unit counts a dispatch
-  attempt and re-enters the queue);
-* a crashed request (``REQUEST_FAILED``) or in-queue deadline is retried
-  up to ``max_attempts`` times, then recorded as a failed unit;
-* a dead or *stalled* daemon — connection refused, connection lost, or a
-  unit exceeding ``straggler_timeout`` with no response — is killed and
-  restarted through the supervisor's bounded policy, and the unit is
-  re-dispatched (straggler re-dispatch and crash recovery are the same
-  code path: the attempt is abandoned, the unit re-queued).
+* the resume skip (one manifest read per sweep);
+* manifest records, appended in completion order;
+* the ``fleet-dispatch`` fault site, fired before a unit is submitted,
+  and the ``fleet-checkpoint`` site, fired after its record lands;
+* bounded retries: a unit that raises, or whose worker dies, counts one
+  attempt and re-enters the queue until ``max_attempts``. A dead worker
+  breaks the whole pool, so the pool is rebuilt and every unit that was
+  in flight is requeued.
 
 Completed units append to the :class:`~repro.fleet.manifest.SweepManifest`
-*before* the supervisor checkpoint fires, so a sweep killed at a
-checkpoint has every finished unit on disk and a resume re-runs only the
-rest. Outcomes are the deterministic payload slice
-(:mod:`repro.fleet.report`), which is what makes fleet == serial ==
-killed-and-resumed byte-identical.
+*before* the checkpoint fault fires, so a sweep killed there has every
+finished unit on disk and a resume re-runs only the rest. Outcomes are
+the deterministic payload slice (:mod:`repro.fleet.report`), which is
+what makes any worker count and a killed-and-resumed sweep
+byte-identical to ``workers=1``.
 """
 
 from __future__ import annotations
 
-import threading
+import os
 import time
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
+from repro.api import Project
+from repro.cli import exit_code_for
+from repro.detector.reporting import report_to_json
 from repro.fleet.manifest import SweepManifest
 from repro.fleet.plan import SweepPlan, WorkUnit
 from repro.fleet.report import (
@@ -41,28 +45,13 @@ from repro.fleet.report import (
     outcome_from_detect,
     outcome_from_fuzz,
 )
-from repro.fleet.supervisor import FleetSupervisor, SupervisorError
-from repro.obs import Collector
-from repro.obs.journal import TelemetryJournal, request_record
+from repro.fuzz.campaign import run_campaign
 from repro.resilience.faultinject import FaultInjected, maybe_fault
-from repro.service.client import ServiceConnectionError, ServiceRequestError
-from repro.service.protocol import (
-    DEADLINE_EXCEEDED,
-    OVERLOADED,
-    QUOTA_EXCEEDED,
-    is_error,
-)
-
-#: ceiling on one backpressure wait, whatever the daemon hints
-MAX_RETRY_AFTER = 2.0
-
-#: backpressure retries per dispatch attempt before the attempt fails
-MAX_SHED_RETRIES = 8
 
 
 class SweepKilled(RuntimeError):
-    """The sweep aborted at a supervisor checkpoint (chaos or operator
-    kill). Completed units are on the manifest; resume picks them up."""
+    """The sweep aborted at a checkpoint (chaos or operator kill).
+    Completed units are on the manifest; resume picks them up."""
 
 
 @dataclass
@@ -73,8 +62,6 @@ class FleetResult:
     outcomes: Dict[str, dict] = field(default_factory=dict)
     metas: Dict[str, dict] = field(default_factory=dict)
     failed: Dict[str, str] = field(default_factory=dict)  # uid -> reason
-    restarts: int = 0
-    sheds: int = 0
     incidents: List[str] = field(default_factory=list)
     elapsed_seconds: float = 0.0
 
@@ -83,347 +70,165 @@ class FleetResult:
 
     def telemetry(self) -> dict:
         return merge_telemetry(
-            self.metas,
-            self.elapsed_seconds,
-            restarts=self.restarts,
-            sheds=self.sheds,
-            incidents=len(self.incidents),
+            self.metas, self.elapsed_seconds, incidents=len(self.incidents)
         )
 
     def complete(self) -> bool:
         return len(self.outcomes) == len(self.plan.units)
 
 
-def _detect_params(options: dict) -> dict:
-    params = {}
-    for key in ("strict", "fail_on_timeout"):
-        if options.get(key):
-            params[key] = True
-    return params
+def run_unit(unit: WorkUnit) -> dict:
+    """Analyze one unit and return its deterministic outcome."""
+    if unit.kind == "project":
+        result = Project.from_path(unit.path).detect()
+        reports = result.all_reports()
+        health = result.health()
+        return outcome_from_detect(
+            {
+                "code": exit_code_for(
+                    len(reports), result.has_timeouts(), health, len(result.incidents)
+                ),
+                "health": health,
+                "timed_out": result.has_timeouts(),
+                "bmoc": len(result.bmoc.reports),
+                "traditional": len(result.traditional),
+                "reports": [report_to_json(r) for r in reports],
+            }
+        )
+    report = run_campaign(unit.seed, unit.count, start=unit.start)
+    return outcome_from_fuzz(
+        {
+            "triages": [t.to_dict() for t in report.triages],
+            "unexplained": len(report.unexplained()),
+            "crashes": len(report.crashes()),
+        }
+    )
 
 
 def run_sweep(
     plan: SweepPlan,
-    daemons: int = 1,
-    mode: str = "thread",
+    workers: Optional[int] = None,
     manifest_path: Optional[str] = None,
-    service_options: Optional[dict] = None,
-    workers: int = 1,
-    max_queue: Optional[int] = None,
-    tenant_max_queue: Optional[int] = None,
-    deadline_seconds: Optional[float] = None,
-    straggler_timeout: Optional[float] = None,
     max_attempts: int = 3,
-    collector: Optional[Collector] = None,
-    journal_path: Optional[str] = None,
-    supervisor: Optional[FleetSupervisor] = None,
 ) -> FleetResult:
-    """Sweep ``plan`` across ``daemons`` daemon processes/threads.
+    """Run every unit of ``plan`` not already checkpointed in the manifest.
 
-    Passing an already-started ``supervisor`` hands over daemon
-    lifecycle to the caller (tests use this to pre-crash daemons); by
-    default the driver owns one sized ``daemons`` and tears it down.
+    ``workers`` is the pool width, by default one process per CPU (never
+    more than there are units to run); ``workers=1`` runs inline and is
+    the reference every other width must match byte for byte.
     """
     if not plan.units:
         raise ValueError("empty sweep plan")
-    obs = collector
     manifest = SweepManifest(manifest_path) if manifest_path else None
-    journal = TelemetryJournal(journal_path) if journal_path else None
     result = FleetResult(plan=plan)
     started = time.perf_counter()
 
     # resume: replay checkpointed outcomes whose fingerprints still match
-    pending: List[WorkUnit] = []
+    reusable = (
+        manifest.reusable_outcomes({u.uid: u.fingerprint for u in plan.units})
+        if manifest
+        else {}
+    )
+    queue: Deque[WorkUnit] = deque()
     for unit in plan.units:
-        reusable = manifest.reusable_outcome(unit.uid, unit.fingerprint) if manifest else None
-        if reusable is not None:
-            result.outcomes[unit.uid] = reusable
+        if unit.uid in reusable:
+            result.outcomes[unit.uid] = reusable[unit.uid]
             result.metas[unit.uid] = {"skipped": True}
-            if obs:
-                obs.count("fleet.units.skipped")
         else:
-            pending.append(unit)
-
-    own_supervisor = supervisor is None
-    if own_supervisor:
-        seed_path = plan.units[0].path or _fuzz_seed_path(manifest_path)
-        supervisor = FleetSupervisor(
-            daemons,
-            seed_path,
-            mode=mode,
-            service_options=service_options,
-            workers=workers,
-            max_queue=max_queue,
-            tenant_max_queue=tenant_max_queue,
-            collector=obs,
-        ).start()
-    assert supervisor is not None
-
-    lock = threading.Lock()
+            queue.append(unit)
+    width = max(1, min(workers or os.cpu_count() or 1, len(queue)))
     attempts: Dict[str, int] = {}
-    fatal: List[BaseException] = []
 
-    def next_unit() -> Optional[WorkUnit]:
-        with lock:
-            if fatal:
-                return None
-            return pending.pop(0) if pending else None
-
-    def requeue(unit: WorkUnit, reason: str) -> None:
-        with lock:
-            attempts[unit.uid] = attempts.get(unit.uid, 0) + 1
-            if attempts[unit.uid] >= max_attempts:
-                result.failed[unit.uid] = reason
-                if manifest:
-                    manifest.record_unit(
-                        unit.uid, unit.fingerprint, ok=False, outcome=None,
-                        meta={"error": reason},
-                    )
-            else:
-                pending.append(unit)
-
-    def worker(name: str) -> None:
-        while True:
-            unit = next_unit()
-            if unit is None:
-                return
-            unit_started = time.perf_counter()
-            try:
-                response, sheds = _dispatch(supervisor, name, unit)
-            except ServiceRequestError as exc:
-                # tenant registration rejected — a request-level failure,
-                # not a daemon death: count the attempt and requeue
-                requeue(unit, str(exc))
-                continue
-            except (ServiceConnectionError, FaultInjected) as exc:
-                # dead daemon, stalled unit (socket timeout), or chaos:
-                # same recovery — fresh daemon, unit back on the queue
-                result.incidents.append(f"{unit.uid} on {name}: {exc}")
-                if obs:
-                    obs.count("fleet.daemon-failures")
-                try:
-                    supervisor.kill(name)
-                    supervisor.restart(name, reason=str(exc))
-                except SupervisorError as dead:
-                    with lock:
-                        fatal.append(dead)
-                    return
-                requeue(unit, f"daemon failure: {exc}")
-                continue
-            with lock:
-                result.sheds += sheds
-            elapsed = time.perf_counter() - unit_started
-            if is_error(response):
-                error = response["error"]
-                reason = f"[{error.get('code')}] {error.get('message')}"
-                requeue(unit, reason)
-                _journal_unit(journal, unit, name, "error", elapsed)
-                continue
-            payload = response.get("result") or {}
-            outcome = (
-                outcome_from_detect(payload)
-                if unit.kind == "project"
-                else outcome_from_fuzz(payload)
+    def retry(unit: WorkUnit, reason: str) -> None:
+        result.incidents.append(f"{unit.uid}: {reason}")
+        attempts[unit.uid] = attempts.get(unit.uid, 0) + 1
+        if attempts[unit.uid] < max_attempts:
+            queue.append(unit)
+            return
+        result.failed[unit.uid] = reason
+        if manifest:
+            manifest.record_unit(
+                unit.uid, unit.fingerprint, ok=False, outcome=None,
+                meta={"error": reason},
             )
-            meta = {
-                "daemon": name,
-                "attempts": attempts.get(unit.uid, 0) + 1,
-                "elapsed_seconds": round(elapsed, 6),
-                "sheds": sheds,
-            }
-            if unit.kind == "project":
-                meta["cache"] = {
-                    "hits": payload.get("shards", {}).get("cached", 0),
-                    "misses": payload.get("shards", {}).get("executed", 0),
-                }
-            with lock:
-                result.outcomes[unit.uid] = outcome
-                result.metas[unit.uid] = meta
-            if manifest:
-                manifest.record_unit(
-                    unit.uid, unit.fingerprint, ok=True, outcome=outcome, meta=meta
-                )
-            _journal_unit(journal, unit, name, "ok", elapsed, outcome)
-            if obs:
-                obs.count("fleet.units.completed")
-            try:
-                supervisor.checkpoint(unit.uid)
-            except FaultInjected as exc:
-                with lock:
-                    fatal.append(SweepKilled(str(exc)))
-                return
 
-    def _dispatch(sup: FleetSupervisor, name: str, unit: WorkUnit):
-        """One dispatch attempt; returns (response, shed_count). Raises
-        ServiceConnectionError/FaultInjected for daemon-level failure."""
-        maybe_fault("fleet-dispatch", unit.uid)
-        sheds = 0
-        while True:
-            client = sup.client(name)
-            if unit.kind == "project":
-                if not sup.is_registered(name, unit.uid):
-                    client.result(
-                        "register", {"tenant": unit.uid, "path": unit.path}
-                    )
-                    sup.mark_registered(name, unit.uid)
-                params = dict(detect_params)
-                if deadline_seconds is not None:
-                    params["deadline_seconds"] = deadline_seconds
-                response = client.call("detect", params, tenant=unit.uid)
-            else:
-                response = client.call(
-                    "fuzz",
-                    {"seed": unit.seed, "start": unit.start, "count": unit.count},
-                )
-            if is_error(response):
-                error = response["error"]
-                if error.get("code") in (OVERLOADED, QUOTA_EXCEEDED):
-                    sheds += 1
-                    if obs:
-                        obs.count("fleet.backpressure")
-                    if sheds > MAX_SHED_RETRIES:
-                        return response, sheds
-                    wait = float(error.get("retry_after") or 0.05)
-                    time.sleep(min(wait, MAX_RETRY_AFTER))
-                    continue
-                if error.get("code") == DEADLINE_EXCEEDED:
-                    return response, sheds
-            return response, sheds
+    def finish(unit: WorkUnit, outcome: dict, elapsed: float) -> None:
+        meta = {
+            "attempts": attempts.get(unit.uid, 0) + 1,
+            "elapsed_seconds": round(elapsed, 6),
+        }
+        result.outcomes[unit.uid] = outcome
+        result.metas[unit.uid] = meta
+        if manifest:
+            manifest.record_unit(
+                unit.uid, unit.fingerprint, ok=True, outcome=outcome, meta=meta
+            )
+        try:
+            maybe_fault("fleet-checkpoint", unit.uid)
+        except FaultInjected as exc:
+            raise SweepKilled(str(exc)) from exc
 
-    detect_params = _detect_params(service_options or {})
-    if straggler_timeout is not None:
-        supervisor.request_timeout = straggler_timeout
+    def dispatchable(unit: WorkUnit) -> bool:
+        try:
+            maybe_fault("fleet-dispatch", unit.uid)
+        except FaultInjected as exc:
+            retry(unit, f"dispatch failed: {exc}")
+            return False
+        return True
 
-    threads = [
-        threading.Thread(target=worker, args=(name,), name=f"fleet-driver-{name}")
-        for name in list(supervisor.daemons)
-    ]
+    pool: Optional[ProcessPoolExecutor] = None
+
+    def submit(unit: WorkUnit) -> Future:
+        nonlocal pool
+        if width > 1:
+            if pool is None:
+                # the platform's default start method: on Linux, fork, so
+                # workers inherit the imported analysis instead of paying
+                # a fresh import each (on a 2-vCPU box, spawn and
+                # forkserver ran the benchmark corpus at 20-27 units/s
+                # against fork's 34-41 at widths 2-3). The executor forks
+                # every worker before it starts its own manager thread.
+                pool = ProcessPoolExecutor(max_workers=width)
+            return pool.submit(run_unit, unit)
+        future: Future = Future()  # inline: already resolved on return
+        try:
+            future.set_result(run_unit(unit))
+        except Exception as exc:  # noqa: BLE001 - any unit crash retries
+            future.set_exception(exc)
+        return future
+
+    in_flight: Dict[Future, Tuple[WorkUnit, float]] = {}  # -> (unit, started)
+    broken = False
     try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    finally:
-        if own_supervisor:
-            supervisor.stop()
-    result.restarts = supervisor.restarts()
-    result.incidents.extend(supervisor.incidents)
-    result.elapsed_seconds = time.perf_counter() - started
-    if fatal:
-        raise fatal[0]
-    return result
-
-
-def _journal_unit(
-    journal: Optional[TelemetryJournal],
-    unit: WorkUnit,
-    daemon: str,
-    outcome: str,
-    elapsed: float,
-    payload: Optional[dict] = None,
-) -> None:
-    if journal is None:
-        return
-    record = request_record(
-        trace_id=f"fleet-{unit.uid}",
-        method="fleet-unit",
-        outcome=outcome,
-        elapsed_seconds=elapsed,
-        tenant=unit.uid,
-        reports=len(payload.get("reports", [])) if payload else None,
-        code=payload.get("code") if payload else None,
-    )
-    record["daemon"] = daemon
-    journal.append(record)
-
-
-def _fuzz_seed_path(manifest_path: Optional[str]) -> str:
-    """Fuzz sweeps need a daemon seed project; write a trivial one next
-    to the manifest (or in a temp dir) — it is never analyzed."""
-    import os
-    import tempfile
-
-    base = (
-        os.path.dirname(os.path.abspath(manifest_path))
-        if manifest_path
-        else tempfile.mkdtemp(prefix="repro-fleet-")
-    )
-    os.makedirs(base, exist_ok=True)
-    path = os.path.join(base, "fleet-seed.go")
-    if not os.path.exists(path):
-        with open(path, "w") as handle:
-            handle.write("package main\n\nfunc main() {\n}\n")
-    return path
-
-
-# ---------------------------------------------------------------------------
-# the serial reference
-
-
-def serial_sweep(
-    plan: SweepPlan,
-    service_options: Optional[dict] = None,
-    collector: Optional[Collector] = None,
-) -> FleetResult:
-    """The one-shot reference: every unit, in plan order, in-process.
-
-    Project units run through a real :class:`AnalysisService` (same
-    handler code the daemons run, no sockets); fuzz units through
-    :func:`repro.fuzz.campaign.run_campaign` shards. The fleet parity
-    suite asserts ``canonical_bytes`` equality against this.
-    """
-    from repro.service.daemon import AnalysisService
-
-    if not plan.units:
-        raise ValueError("empty sweep plan")
-    options = dict(service_options or {})
-    detect_params = _detect_params(options)
-    options.pop("strict", None)
-    options.pop("fail_on_timeout", None)
-    result = FleetResult(plan=plan)
-    started = time.perf_counter()
-    service = None
-    project_units = [u for u in plan.units if u.kind == "project"]
-    if project_units:
-        service = AnalysisService(project_units[0].path, **options).start()
-    try:
-        for unit in plan.units:
-            unit_started = time.perf_counter()
-            if unit.kind == "project":
-                assert service is not None
-                service.call("register", {"tenant": unit.uid, "path": unit.path})
-                response = service.call("detect", detect_params, tenant=unit.uid)
-                if is_error(response):
-                    error = response["error"]
-                    result.failed[unit.uid] = (
-                        f"[{error.get('code')}] {error.get('message')}"
-                    )
+        while queue or in_flight:
+            while queue and len(in_flight) < width and not broken:
+                unit = queue.popleft()
+                if dispatchable(unit):
+                    unit_started = time.perf_counter()
+                    in_flight[submit(unit)] = (unit, unit_started)
+            if not in_flight:
+                continue
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                unit, unit_started = in_flight.pop(future)
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool:
+                    broken = True
+                    retry(unit, "worker process died")
                     continue
-                outcome = outcome_from_detect(response.get("result") or {})
-            else:
-                from repro.fuzz.campaign import run_campaign
-
-                report = run_campaign(
-                    unit.seed, unit.count, start=unit.start, collector=collector
-                )
-                outcome = outcome_from_fuzz(
-                    {
-                        "triages": [t.to_dict() for t in report.triages],
-                        "unexplained": len(report.unexplained()),
-                        "crashes": len(report.crashes()),
-                    }
-                )
-            result.outcomes[unit.uid] = outcome
-            result.metas[unit.uid] = {
-                "daemon": "serial",
-                "attempts": 1,
-                "elapsed_seconds": round(time.perf_counter() - unit_started, 6),
-            }
+                except Exception as exc:  # noqa: BLE001 - any unit crash retries
+                    retry(unit, f"unit failed: {exc!r}")
+                    continue
+                finish(unit, outcome, time.perf_counter() - unit_started)
+            if broken and not in_flight:
+                pool.shutdown(wait=True)
+                pool, broken = None, False
     finally:
-        if service is not None:
-            service.stop()
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
     result.elapsed_seconds = time.perf_counter() - started
     return result
 
 
-__all__ = ["FleetResult", "SweepKilled", "run_sweep", "serial_sweep"]
+__all__ = ["FleetResult", "SweepKilled", "run_sweep", "run_unit"]

@@ -1,7 +1,7 @@
 """The resumable sweep manifest: a JSONL checkpoint of unit outcomes.
 
 One line per completed (or failed) unit, appended the moment the unit
-finishes — never buffered — so a killed sweep loses at most the unit in
+finishes — never buffered — so a killed sweep loses at most the units in
 flight. Reads tolerate torn tails exactly like
 :class:`repro.obs.journal.TelemetryJournal`: a line the killed writer
 never finished is skipped, not fatal, and the unit it would have
@@ -101,18 +101,27 @@ class SweepManifest:
                 latest[record["uid"]] = record
         return latest
 
+    def reusable_outcomes(self, fingerprints: Dict[str, str]) -> Dict[str, dict]:
+        """uid -> checkpointed outcome, for every uid in ``fingerprints``
+        whose latest record completed ok under exactly that fingerprint.
+        Reads the file once, however many units the plan has."""
+        latest = self.latest_by_uid()
+        reusable = {}
+        for uid, fingerprint in fingerprints.items():
+            record = latest.get(uid)
+            if (
+                record is not None
+                and record.get("ok") is True
+                and record.get("fingerprint") == fingerprint
+                and isinstance(record.get("outcome"), dict)
+            ):
+                reusable[uid] = record["outcome"]
+        return reusable
+
     def reusable_outcome(self, uid: str, fingerprint: str) -> Optional[dict]:
-        """The checkpointed outcome for ``uid`` — only if it completed
-        ok under the exact fingerprint the current plan computed."""
-        record = self.latest_by_uid().get(uid)
-        if (
-            record is not None
-            and record.get("ok") is True
-            and record.get("fingerprint") == fingerprint
-            and isinstance(record.get("outcome"), dict)
-        ):
-            return record["outcome"]
-        return None
+        """The checkpointed outcome for one ``uid`` (see
+        :meth:`reusable_outcomes`)."""
+        return self.reusable_outcomes({uid: fingerprint}).get(uid)
 
     def completed_uids(self) -> List[str]:
         return sorted(

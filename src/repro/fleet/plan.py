@@ -4,7 +4,7 @@ A *plan* turns a sweep's input — a corpus directory tree, or a fuzz
 campaign spec — into an ordered list of :class:`WorkUnit`. Units are the
 granularity of everything downstream: dispatch, manifest checkpointing,
 resume, and aggregation. The contract that makes sweeps resumable and
-fleet==serial provable:
+every worker count byte-identical:
 
 * planning is **deterministic**: the same tree (same bytes) plans the
   same units in the same order with the same fingerprints;
@@ -12,13 +12,12 @@ fleet==serial provable:
   sorted file set with content hashes, plus the engine/encoder/solver
   version preamble — so a manifest entry is reusable iff the fingerprint
   still matches (an edit *or* a detector-semantics bump re-runs it);
-* unit ids are stable path-derived slugs, usable directly as daemon
-  tenant ids.
+* unit ids are stable path-derived slugs.
 
-A *project* unit mirrors :class:`repro.service.project.ProjectState`'s
-path semantics exactly: a directory unit covers the ``*.go`` files
-directly inside it (non-recursive — nested directories are their own
-units), a file unit covers one ``.go`` file.
+A *project* unit mirrors :meth:`repro.api.Project.from_path` exactly: a
+directory unit covers the ``*.go`` files directly inside it
+(non-recursive — nested directories are their own units), a file unit
+covers one ``.go`` file.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ def _version_preamble() -> str:
 class WorkUnit:
     """One dispatchable unit of a sweep."""
 
-    uid: str  # stable id; doubles as the daemon tenant id
+    uid: str  # stable path-derived (or shard-derived) id
     kind: str  # 'project' | 'fuzz'
     fingerprint: str
     path: Optional[str] = None  # project units: the .go file or directory
@@ -111,8 +110,8 @@ def plan_corpus(root: str) -> SweepPlan:
     """Walk a corpus tree into project units.
 
     Every directory that directly contains at least one ``.go`` file is
-    one unit (covering exactly those files, like ``ProjectState`` on a
-    directory); a root that is itself a single ``.go`` file is one unit.
+    one unit (covering exactly those files, like ``Project.from_path`` on
+    a directory); a root that is itself a single ``.go`` file is one unit.
     Walk order is sorted, so the plan is deterministic.
     """
     root = os.path.abspath(root)

@@ -1,19 +1,19 @@
 """Fleet aggregation: merge per-unit results into one deterministic report.
 
 The aggregate is the sweep's parity surface: :func:`canonical_bytes`
-over it must be byte-identical whether the units ran serially in one
-process, across N daemons, or across a kill + resume. That works because
-*outcomes* keep only the deterministic slice of a daemon's ``detect`` /
-``fuzz`` payload — reports, exit code, health, counts — and every
-wall-clock, placement, generation, or cache field lives in the
-*telemetry* side channel (:func:`merge_telemetry`), which feeds
-``BENCH_fleet.json`` and ``repro top`` but never the canonical bytes.
+over it must be byte-identical whether the units ran inline, on a pool
+of N worker processes, or across a kill + resume. That works because
+*outcomes* keep only the deterministic slice of a unit's detect / fuzz
+payload — reports, exit code, health, counts — and every wall-clock or
+attempt field lives in the *telemetry* side channel
+(:func:`merge_telemetry`), which feeds ``BENCH_fleet.json`` but never
+the canonical bytes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.fleet.plan import SweepPlan
 from repro.obs import Dist
@@ -22,7 +22,7 @@ FLEET_REPORT_KIND = "repro.fleet/1"
 
 
 def outcome_from_detect(payload: dict) -> dict:
-    """The deterministic slice of a daemon ``detect`` payload."""
+    """The deterministic slice of a ``detect`` payload."""
     return {
         "kind": "project",
         "code": payload.get("code"),
@@ -43,8 +43,8 @@ def outcome_from_detect(payload: dict) -> dict:
 
 
 def outcome_from_fuzz(payload: dict) -> dict:
-    """The deterministic slice of a daemon ``fuzz`` payload: triage
-    dicts carry no timing, and bucket order is generation order."""
+    """The deterministic slice of a fuzz-shard payload: triage dicts
+    carry no timing, and bucket order is generation order."""
     return {
         "kind": "fuzz",
         "triages": payload.get("triages", []),
@@ -144,36 +144,23 @@ def render(report: dict) -> str:
 
 
 def merge_telemetry(
-    metas: Dict[str, dict],
-    elapsed_seconds: float,
-    restarts: int = 0,
-    sheds: int = 0,
-    incidents: int = 0,
+    metas: Dict[str, dict], elapsed_seconds: float, incidents: int = 0
 ) -> dict:
-    """Fleet-level telemetry from per-unit dispatch metadata.
+    """Sweep-level telemetry from per-unit run metadata.
 
-    Everything here is wall-clock or placement derived — real, useful,
-    and deliberately *outside* the canonical report bytes.
+    Everything here is wall-clock derived — real, useful, and
+    deliberately *outside* the canonical report bytes.
     """
     unit_seconds = Dist()
     attempts = 0
     skipped = 0
-    by_daemon: Dict[str, int] = {}
-    cache_hits = cache_misses = 0
     for meta in metas.values():
         if meta.get("skipped"):
             skipped += 1
             continue
         unit_seconds.add(float(meta.get("elapsed_seconds", 0.0)))
         attempts += int(meta.get("attempts", 1))
-        daemon = meta.get("daemon")
-        if daemon is not None:
-            by_daemon[str(daemon)] = by_daemon.get(str(daemon), 0) + 1
-        cache = meta.get("cache") or {}
-        cache_hits += int(cache.get("hits", 0) or 0)
-        cache_misses += int(cache.get("misses", 0) or 0)
     executed = len(metas) - skipped
-    probes = cache_hits + cache_misses
     return {
         "elapsed_seconds": elapsed_seconds,
         "units": len(metas),
@@ -184,11 +171,7 @@ def merge_telemetry(
         "unit_p95_seconds": unit_seconds.p95,
         "dispatch_attempts": attempts,
         "redispatches": max(0, attempts - executed),
-        "by_daemon": by_daemon,
-        "restarts": restarts,
-        "sheds": sheds,
         "incidents": incidents,
-        "cache_hit_rate": cache_hits / probes if probes else None,
     }
 
 

@@ -148,7 +148,7 @@ class CampaignReport:
     triages: List[ProgramTriage] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     trace: Optional[object] = None  # the campaign's repro.obs.Collector
-    start: int = 0  # first program index (fleet shards offset this)
+    start: int = 0  # first program index (fleet sweep shards offset this)
 
     def buckets(self) -> Dict[str, int]:
         counts = {bucket: 0 for bucket in BUCKETS}

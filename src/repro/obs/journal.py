@@ -174,7 +174,6 @@ def summarize(records: List[dict]) -> dict:
     latency, queue_wait = Dist(), Dist()
     methods: Dict[str, int] = {}
     tenants: Dict[str, dict] = {}
-    daemons: Dict[str, dict] = {}
     errors = incidents = slow = sheds = 0
     hits = misses = 0
     first_ts = last_ts = None
@@ -210,17 +209,6 @@ def summarize(records: List[dict]) -> dict:
             per["queue_wait"].add(float(record.get("queue_wait_seconds", 0.0)))
             if outcome != "ok":
                 per["errors"] += 1
-        daemon = record.get("daemon")
-        if daemon is not None:
-            # fleet-driver records place units on named daemons; roll
-            # them up so `repro top` shows the sweep's placement balance
-            per_daemon = daemons.setdefault(
-                str(daemon), {"units": 0, "errors": 0, "latency": Dist()}
-            )
-            per_daemon["units"] += 1
-            per_daemon["latency"].add(seconds)
-            if outcome != "ok" and not shed:
-                per_daemon["errors"] += 1
         incidents += int(record.get("incidents", 0) or 0)
         slow += 1 if record.get("slow") else 0
         cache = record.get("cache") or {}
@@ -256,15 +244,6 @@ def summarize(records: List[dict]) -> dict:
         "queue_wait": queue_wait,
         "by_method": methods,
         "by_tenant": by_tenant,
-        "by_daemon": {
-            name: {
-                "units": per["units"],
-                "errors": per["errors"],
-                "p50_seconds": per["latency"].p50,
-                "p95_seconds": per["latency"].p95,
-            }
-            for name, per in daemons.items()
-        },
         "error_rate": errors / len(records) if records else 0.0,
         "incident_rate": incidents / len(records) if records else 0.0,
         "slow_requests": slow,
@@ -340,23 +319,6 @@ def render_top(records: List[dict], title: str = "repro top") -> str:
                         str(per["sheds"]),
                     ]
                     for tenant, per in sorted(by_tenant.items())
-                ],
-            )
-        )
-    by_daemon = summary["by_daemon"]
-    if by_daemon:
-        blocks.append(
-            render_simple(
-                ["daemon", "units", "errors", "p50 (ms)", "p95 (ms)"],
-                [
-                    [
-                        name,
-                        str(per["units"]),
-                        str(per["errors"]),
-                        _ms(per["p50_seconds"]),
-                        _ms(per["p95_seconds"]),
-                    ]
-                    for name, per in sorted(by_daemon.items())
                 ],
             )
         )

@@ -18,8 +18,8 @@ service-request  per analysis-daemon request (:mod:`repro.service`)
 service-admission  per admission decision, before a request is queued
 service-scheduler  per dispatched request, as a worker picks it up
 fuzz-program  per generated program in a fuzz campaign (:mod:`repro.fuzz`)
-fleet-supervisor  per daemon spawn and per post-unit checkpoint (:mod:`repro.fleet`)
-fleet-dispatch  per unit dispatch, before the request leaves the driver
+fleet-checkpoint  per completed sweep unit, after its manifest record (:mod:`repro.fleet`)
+fleet-dispatch  per sweep unit, before the driver submits it
 ========== ==========================================================
 
 A :class:`FaultPlan` is a list of rules parsed from a compact spec
@@ -64,7 +64,7 @@ FAULT_SITES: Tuple[str, ...] = (
     "service-admission",
     "service-scheduler",
     "fuzz-program",
-    "fleet-supervisor",
+    "fleet-checkpoint",
     "fleet-dispatch",
 )
 

@@ -17,13 +17,13 @@ from typing import Any, Deque, Dict, List, Optional
 class _RuntimeIds(threading.local):
     """Per-thread serial counters for sync objects and env frames.
 
-    Thread-local on purpose: a daemon fleet runs whole campaigns
-    concurrently in one process (thread-mode daemons), and a shared
-    counter would let one run's allocations perturb another's object
-    ids — and through them the explorer's footprint pruning — making
-    ``total_steps`` depend on co-scheduled work. Each interpreter run
-    resets only its own thread's counters, so concurrent runs mint the
-    same ids they would alone.
+    Thread-local on purpose: the analysis daemon's worker threads run
+    whole analyses (patch validation included) concurrently in one
+    process, and a shared counter would let one run's allocations
+    perturb another's object ids — and through them the explorer's
+    footprint pruning — making ``total_steps`` depend on co-scheduled
+    work. Each interpreter run resets only its own thread's counters, so
+    concurrent runs mint the same ids they would alone.
     """
 
     def __init__(self):

@@ -60,7 +60,7 @@ from repro.detector.gcatch import (
     resolve_max_retries,
     run_gcatch,
 )
-from repro.detector.reporting import BugReport
+from repro.detector.reporting import report_to_json
 from repro.engine import CacheView, ResultCache, diff_fingerprints
 from repro.engine.invalidate import InvalidationDelta
 from repro.obs import (
@@ -103,8 +103,8 @@ from repro.service.protocol import (
 from repro.service.scheduler import FairScheduler
 from repro.service.tenants import TenantRegistry, TenantState
 
-#: daemon exit-code policy == CLI exit-code policy (tested for equality)
-from repro.cli import EXIT_INCIDENT, EXIT_TIMEOUT
+#: daemon exit-code policy == CLI exit-code policy (the same function)
+from repro.cli import EXIT_INCIDENT, exit_code_for
 
 __all__ = [
     "AnalysisService",
@@ -118,7 +118,7 @@ __all__ = [
 
 #: methods that do not address one tenant's resident state, so they are
 #: served even when the request's tenant id is not (yet) registered
-_TENANTLESS_METHODS = ("register", "tenants", "fuzz")
+_TENANTLESS_METHODS = ("register", "tenants")
 
 #: rejection code -> journal outcome tag
 _REJECT_OUTCOMES = {
@@ -128,34 +128,6 @@ _REJECT_OUTCOMES = {
     SHUTTING_DOWN: "shutdown",
     REQUEST_FAILED: "crashed",
 }
-
-
-def exit_code_for(
-    reports: int,
-    timed_out: bool,
-    health: str,
-    incidents: int,
-    strict: bool = False,
-    fail_on_timeout: bool = False,
-) -> int:
-    """The one-shot ``detect`` exit-code policy, shared with the daemon:
-    1 for findings, 3 for exhausted budgets (opt-in), 4 for resilience
-    failures (always on ``failed`` health, any incident under strict)."""
-    code = 1 if reports else 0
-    if fail_on_timeout and timed_out:
-        code = EXIT_TIMEOUT
-    if (strict and incidents) or health == "failed":
-        code = EXIT_INCIDENT
-    return code
-
-
-def report_to_json(report: BugReport) -> dict:
-    return {
-        "category": report.category,
-        "description": report.description,
-        "lines": list(report.lines),
-        "render": report.render(),
-    }
 
 
 @dataclass
@@ -707,39 +679,6 @@ class AnalysisService:
         if result.incidents:
             payload["incidents"] = incidents_to_json(result.incidents)
         return payload
-
-    def _method_fuzz(self, params: dict, ctx: RequestContext) -> dict:
-        """One fuzz-campaign shard: triage program indexes
-        ``[start, start+count)`` of ``seed``. Generation is pure in
-        (seed, index), so shards merged across a fleet reproduce the
-        single-process campaign exactly — the triage dicts carry no
-        timing, and the nondeterministic wall clock stays out of them.
-        """
-        seed = params.get("seed", 0)
-        start = params.get("start", 0)
-        count = params.get("count")
-        for name, value in (("seed", seed), ("start", start), ("count", count)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ServiceError(
-                    INVALID_PARAMS, f"fuzz needs integer params.{name}"
-                )
-        if count <= 0 or start < 0:
-            raise ServiceError(
-                INVALID_PARAMS, "fuzz needs count > 0 and start >= 0"
-            )
-        from repro.fuzz.campaign import run_campaign
-
-        report = run_campaign(seed, count, start=start, collector=ctx.obs)
-        return {
-            "seed": seed,
-            "start": start,
-            "count": count,
-            "triages": [t.to_dict() for t in report.triages],
-            "buckets": report.buckets(),
-            "unexplained": len(report.unexplained()),
-            "crashes": len(report.crashes()),
-            "elapsed_seconds": round(report.elapsed_seconds, 6),
-        }
 
     def _method_fix(self, params: dict, ctx: RequestContext) -> dict:
         tenant = ctx.tenant

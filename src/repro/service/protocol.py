@@ -78,7 +78,6 @@ METHODS = (
     "refresh",
     "register",
     "tenants",
-    "fuzz",
     "shutdown",
 )
 

@@ -2,18 +2,21 @@
 
 The end-to-end parity + resume acceptance suite lives in
 ``test_fleet_resume.py``; this file exercises each fleet layer in
-isolation plus the driver's failure handling (backpressure, dispatch
-chaos, supervisor exhaustion).
+isolation plus the driver's failure handling (dispatch chaos, a dying
+worker process, a unit that keeps crashing) and the ``repro fleet`` CLI
+end to end.
 """
 
+import functools
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.fleet import (
-    FleetSupervisor,
-    SupervisorError,
     SweepManifest,
     SweepPlan,
     aggregate,
@@ -25,12 +28,10 @@ from repro.fleet import (
     plan_corpus,
     plan_fuzz,
     run_sweep,
-    serial_sweep,
+    run_unit,
 )
 from repro.fuzz.campaign import run_campaign
 from repro.resilience.faultinject import injected
-from repro.service.daemon import AnalysisService
-from repro.service.protocol import OVERLOADED
 
 
 BUGGY = """package main
@@ -204,122 +205,179 @@ class TestReport:
     def test_merge_telemetry_separates_skipped_from_executed(self):
         tel = merge_telemetry(
             {
-                "a": {"daemon": "d0", "attempts": 2, "elapsed_seconds": 0.5},
+                "a": {"attempts": 2, "elapsed_seconds": 0.5},
                 "b": {"skipped": True},
             },
             elapsed_seconds=1.0,
-            restarts=1,
         )
         assert tel["executed"] == 1 and tel["skipped"] == 1
         assert tel["redispatches"] == 1
-        assert tel["by_daemon"] == {"d0": 1}
         assert tel["units_per_second"] == 1.0
 
 
-class _StubClient:
-    """Sheds the first ``sheds`` detect calls with OVERLOADED, then serves."""
-
-    def __init__(self, sheds):
-        self.to_shed = sheds
-        self.calls = []
-
-    def result(self, method, params=None, **kw):
-        self.calls.append((method, params))
-        return {"ok": True}
-
-    def call(self, method, params=None, **kw):
-        self.calls.append((method, params))
-        if self.to_shed > 0:
-            self.to_shed -= 1
-            return {
-                "id": 1,
-                "error": {"code": OVERLOADED, "message": "shed", "retry_after": 0.001},
-            }
-        return {
-            "id": 1,
-            "result": {"code": 0, "health": "ok", "reports": [],
-                       "bmoc": 0, "traditional": 0, "timed_out": False},
-        }
+def _die_once(marker, unit):
+    """A ``run_unit`` stand-in whose worker process dies on gamma's first
+    attempt (the marker file survives the death; the retry sees it)."""
+    if unit.uid == "gamma" and not os.path.exists(marker):
+        with open(marker, "w"):
+            pass
+        os._exit(1)
+    return run_unit(unit)
 
 
-class _StubSupervisor:
-    def __init__(self, client):
-        self.daemons = {"d0": object()}
-        self._client = client
-        self.incidents = []
-        self.registered = set()
-
-    def client(self, name):
-        return self._client
-
-    def checkpoint(self, label):
-        pass
-
-    def mark_registered(self, name, tenant):
-        self.registered.add(tenant)
-
-    def is_registered(self, name, tenant):
-        return tenant in self.registered
-
-    def restarts(self):
-        return 0
+def _crash_on(uid, unit):
+    if unit.uid == uid:
+        raise RuntimeError(f"boom in {uid}")
+    return run_unit(unit)
 
 
 class TestDriver:
-    def test_thread_fleet_matches_serial(self, small_corpus, tmp_path):
+    def test_pool_sweep_matches_serial(self, small_corpus, tmp_path):
         plan = plan_corpus(small_corpus)
-        fleet = run_sweep(
-            plan, daemons=2, mode="thread",
-            manifest_path=str(tmp_path / "m.jsonl"),
-        )
-        serial = serial_sweep(plan)
-        assert fleet.complete() and not fleet.failed
-        assert canonical_bytes(fleet.report()) == canonical_bytes(serial.report())
-        # both daemons did work on 4 units
-        assert sum(fleet.telemetry()["by_daemon"].values()) == 4
+        pool = run_sweep(plan, workers=2, manifest_path=str(tmp_path / "m.jsonl"))
+        serial = run_sweep(plan, workers=1)
+        assert pool.complete() and not pool.failed
+        assert canonical_bytes(pool.report()) == canonical_bytes(serial.report())
+        assert pool.telemetry()["executed"] == 4
 
-    def test_backpressure_hint_is_honoured(self, small_corpus):
+    def test_dispatch_fault_redispatches(self, small_corpus, tmp_path):
         plan = plan_corpus(small_corpus)
-        client = _StubClient(sheds=3)
-        result = run_sweep(plan, supervisor=_StubSupervisor(client))
-        assert result.complete()
-        assert result.sheds == 3
-        # every unit was registered exactly once on the single stub daemon
-        registers = [c for c in client.calls if c[0] == "register"]
-        assert len(registers) == 4
-
-    def test_dispatch_fault_restarts_daemon_and_redispatches(
-        self, small_corpus, tmp_path
-    ):
-        plan = plan_corpus(small_corpus)
-        serial = serial_sweep(plan)
+        serial = run_sweep(plan, workers=1)
         with injected("fleet-dispatch@gamma:raise:times=1"):
             result = run_sweep(
-                plan, daemons=2, mode="thread",
-                manifest_path=str(tmp_path / "m.jsonl"),
+                plan, workers=2, manifest_path=str(tmp_path / "m.jsonl")
             )
-        assert result.complete()
-        assert result.restarts == 1
+        assert result.complete() and not result.failed
+        assert result.metas["gamma"]["attempts"] == 2
         assert any("gamma" in i for i in result.incidents)
+        assert result.telemetry()["redispatches"] == 1
         assert canonical_bytes(result.report()) == canonical_bytes(serial.report())
 
-    def test_supervisor_spawn_exhaustion_is_fatal(self, small_corpus, tmp_path):
+    def test_worker_death_completes_byte_identical(
+        self, small_corpus, tmp_path, monkeypatch
+    ):
         plan = plan_corpus(small_corpus)
-        with injected("fleet-supervisor@spawn:raise"):
-            with pytest.raises(SupervisorError):
-                run_sweep(
-                    plan, daemons=1, mode="thread",
-                    manifest_path=str(tmp_path / "m.jsonl"),
-                )
+        serial = run_sweep(plan, workers=1)
+        marker = str(tmp_path / "died")
+        monkeypatch.setattr(
+            "repro.fleet.driver.run_unit", functools.partial(_die_once, marker)
+        )
+        manifest_path = str(tmp_path / "m.jsonl")
+        result = run_sweep(plan, workers=2, manifest_path=manifest_path)
+        assert os.path.exists(marker)  # the worker really died
+        assert result.complete() and not result.failed
+        assert result.metas["gamma"]["attempts"] >= 2
+        assert any("worker process died" in i for i in result.incidents)
+        assert canonical_bytes(result.report()) == canonical_bytes(serial.report())
+        assert SweepManifest(manifest_path).completed_uids() == sorted(
+            u.uid for u in plan.units
+        )
 
-    def test_spawn_retries_past_transient_faults(self, small_corpus):
-        # one injected spawn failure is inside the default retry budget
-        with injected("fleet-supervisor@spawn:raise:times=1"):
-            sup = FleetSupervisor(1, os.path.join(small_corpus, "beta")).start()
-        try:
-            assert sup.client("d0").result("ping")["ok"]
-        finally:
-            sup.stop()
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_crashing_unit_fails_after_max_attempts(
+        self, small_corpus, tmp_path, monkeypatch, workers
+    ):
+        plan = plan_corpus(small_corpus)
+        monkeypatch.setattr(
+            "repro.fleet.driver.run_unit", functools.partial(_crash_on, "beta")
+        )
+        manifest_path = str(tmp_path / "m.jsonl")
+        result = run_sweep(plan, workers=workers, manifest_path=manifest_path)
+        assert list(result.failed) == ["beta"]
+        assert "boom in beta" in result.failed["beta"]
+        assert result.report()["totals"]["incomplete"] == ["beta"]
+        assert len([i for i in result.incidents if i.startswith("beta")]) == 3
+        latest = SweepManifest(manifest_path).latest_by_uid()
+        assert latest["beta"]["ok"] is False
+        assert SweepManifest(manifest_path).completed_uids() == [
+            "alpha", "delta", "gamma"
+        ]
+
+    def test_manifest_is_read_once_per_sweep(self, small_corpus, tmp_path, monkeypatch):
+        plan = plan_corpus(small_corpus)
+        manifest_path = str(tmp_path / "m.jsonl")
+        run_sweep(plan, workers=1, manifest_path=manifest_path)
+        reads = []
+        original = SweepManifest.latest_by_uid
+
+        def counting(self):
+            reads.append(self.path)
+            return original(self)
+
+        monkeypatch.setattr(SweepManifest, "latest_by_uid", counting)
+        resumed = run_sweep(plan, workers=1, manifest_path=manifest_path)
+        assert resumed.telemetry()["skipped"] == 4
+        assert reads == [manifest_path]
+
+    def test_sweep_opens_no_socket_and_imports_no_service(self, small_corpus):
+        code = "\n".join([
+            "import socket, sys",
+            "from repro.fleet import plan_corpus, run_sweep",
+            "def refuse(*args, **kwargs):",
+            "    raise AssertionError('a sweep opened a socket')",
+            "socket.socket = refuse",
+            f"result = run_sweep(plan_corpus({small_corpus!r}), workers=2)",
+            "assert result.complete(), result.failed",
+            "assert not [m for m in sys.modules if m.startswith('repro.service')]",
+        ])
+        subprocess.run(
+            [sys.executable, "-c", code], env=_cli_env(), check=True, timeout=120
+        )
+
+
+def _cli_env():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("REPRO_FAULTS", None)
+    return env
+
+
+def _repro(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=_cli_env(), timeout=300,
+    )
+
+
+class TestFleetCli:
+    """The ``repro fleet`` surface on the 49-program bug set, as real
+    subprocesses: a crash sweep on two workers, parity with the
+    one-worker reference, and an all-skip resume."""
+
+    def test_crash_sweep_matches_reference_and_resumes(self, tmp_path):
+        corpus = str(tmp_path / "corpus")
+        manifest = str(tmp_path / "fleet.jsonl")
+        assert _repro("fleet", "corpus", corpus).returncode == 0
+
+        crash = _repro(
+            "fleet", "sweep", corpus, "--workers", "2", "--manifest", manifest,
+            "--faults", "fleet-dispatch@Set05:raise:times=1",
+            "--out", str(tmp_path / "fleet.json"), "--json",
+        )
+        assert crash.returncode == 0, crash.stderr
+        sweep = json.loads(crash.stdout)
+        assert not sweep["failed"]
+        tel = sweep["telemetry"]
+        assert tel["units"] == 49 and tel["executed"] == 49, tel
+        assert tel["redispatches"] == 1, "the injected crash was not redispatched"
+
+        serial = _repro(
+            "fleet", "sweep", corpus, "--workers", "1",
+            "--out", str(tmp_path / "serial.json"),
+        )
+        assert serial.returncode == 0, serial.stderr
+        reference = (tmp_path / "serial.json").read_bytes()
+        assert (tmp_path / "fleet.json").read_bytes() == reference
+
+        resume = _repro(
+            "fleet", "sweep", corpus, "--workers", "2", "--manifest", manifest,
+            "--out", str(tmp_path / "resumed.json"), "--json",
+        )
+        assert resume.returncode == 0, resume.stderr
+        tel = json.loads(resume.stdout)["telemetry"]
+        assert tel["skipped"] == 49 and tel["executed"] == 0, tel
+        assert (tmp_path / "resumed.json").read_bytes() == reference
 
 
 class TestFuzzSharding:
@@ -331,43 +389,10 @@ class TestFuzzSharding:
             t.to_dict() for t in full.triages[3:5]
         ]
 
-    def test_daemon_fuzz_method_matches_direct_campaign(self, tmp_path):
-        seed_file = tmp_path / "seed.go"
-        seed_file.write_text(OK_PROG)
-        service = AnalysisService(str(seed_file)).start()
-        try:
-            response = service.call("fuzz", {"seed": 11, "start": 2, "count": 3})
-            assert "result" in response
-            payload = response["result"]
-        finally:
-            service.stop()
-        direct = run_campaign(11, 3, start=2)
-        # normalize both sides: in-process call() skips the wire, so
-        # tuples have not been flattened to lists yet
-        assert json.loads(json.dumps(payload["triages"])) == json.loads(
-            json.dumps([t.to_dict() for t in direct.triages])
-        )
-        assert payload["unexplained"] == len(direct.unexplained())
-
-    def test_daemon_fuzz_method_validates_params(self, tmp_path):
-        seed_file = tmp_path / "seed.go"
-        seed_file.write_text(OK_PROG)
-        service = AnalysisService(str(seed_file)).start()
-        try:
-            response = service.call("fuzz", {"seed": 1, "count": 0})
-            assert "error" in response
-            response = service.call("fuzz", {"seed": 1, "count": "five"})
-            assert "error" in response
-        finally:
-            service.stop()
-
     def test_sharded_fuzz_sweep_matches_serial(self, tmp_path):
         plan = plan_fuzz(seed=11, count=10, shard_size=5)
-        serial = serial_sweep(plan)
-        fleet = run_sweep(
-            plan, daemons=2, mode="thread",
-            manifest_path=str(tmp_path / "m.jsonl"),
-        )
+        serial = run_sweep(plan, workers=1)
+        fleet = run_sweep(plan, workers=2, manifest_path=str(tmp_path / "m.jsonl"))
         assert fleet.complete()
         assert canonical_bytes(fleet.report()) == canonical_bytes(serial.report())
         # shards concatenated in plan order reproduce the unsharded run

@@ -181,3 +181,20 @@ class TestFatalGoroutine:
             'func TestX(t *testing.T) {\n\tgo func() {\n\t\tt.Errorf("x")\n\t}()\n}'
         )
         assert check_fatal_goroutine(prog, cg) == []
+
+    def test_same_line_fatals_in_two_files_are_two_reports(self, tmp_path):
+        # one package split over two files: each file's goroutine calls
+        # t.Fatal on line 5, so only the function tells the reports apart
+        from repro.api import Project
+
+        for name in ("A", "B"):
+            (tmp_path / f"{name.lower()}.go").write_text(
+                f"package main\n\nfunc Test{name}(t *testing.T) {{\n"
+                '\tgo func() {\n\t\tt.Fatal("boom")\n\t}()\n}\n'
+            )
+        reports = Project.from_path(str(tmp_path)).detect().all_reports()
+        fatal = [r for r in reports if r.category == "fatal-goroutine"]
+        assert [r.lines for r in fatal] == [[5], [5]]
+        assert sorted(r.blocked_ops[0].function for r in fatal) == [
+            "TestA$lit1", "TestB$lit1"
+        ]
